@@ -7,7 +7,7 @@ from .solver import (
     ModelVariant,
     SolveReport,
     SolverConfig,
-    predict,
+    predict_cells,
     solve,
     solve_centered,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "ModelVariant",
     "SolveReport",
     "SolverConfig",
-    "predict",
+    "predict_cells",
     "solve",
     "solve_centered",
 ]

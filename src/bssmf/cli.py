@@ -185,7 +185,8 @@ def cmd_synth(args):
         W, H, X = ident.generate_synthetic(spec)
     except RuntimeError as e:
         return _fail(EXIT_SYNTH_EXHAUSTED, e)
-    assert np.allclose(X, W @ H)
+    if not np.allclose(X, W @ H):
+        return _fail(EXIT_NUMERICAL, "generated X differs from W @ H")
     try:
         iof.write_dense_csv(args.out_prefix + "X.csv", X)
         iof.write_dense_csv(args.out_prefix + "Wtrue.csv", W)

@@ -25,7 +25,6 @@ class RatingsDataset:
 
     def __post_init__(self):
         seen = set()
-        lo, hi = self.value_range
         for u, i, v, _ in self.ratings:
             if (u, i) in seen:
                 raise ValueError(f"duplicate rating for user {u}, item {i}")
@@ -167,6 +166,11 @@ def _variant_for(kind, fold, value_range):
 def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=None):
     """Train on the training users, adapt H on test users' known ratings,
     report held-out RMSE."""
+    cols = fold.M_known.cols
+    known = fold.M_known.row_idx * cols + fold.M_known.col_idx
+    held = fold.M_heldout.row_idx * cols + fold.M_heldout.col_idx
+    if np.intersect1d(known, held).size:
+        raise ValueError("held-out cells leaked into the adaptation mask")
     variant = _variant_for(variant_kind, fold, value_range)
     use_center = config.center if center is None else center
     if use_center and variant_kind == sv.BSSMF:
@@ -176,9 +180,6 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=Non
     W = factors.W
 
     H_test = solve_h_given_w(fold.X_test, fold.M_known, W, variant, config)
-    known_set = set(zip(fold.M_known.row_idx.tolist(), fold.M_known.col_idx.tolist()))
-    held_set = set(zip(fold.M_heldout.row_idx.tolist(), fold.M_heldout.col_idx.tolist()))
-    assert not known_set & held_set, "held-out cells leaked into the adaptation mask"
 
     bounds = variant.bounds if variant_kind == sv.BSSMF else None
     hr, hc = fold.M_heldout.row_idx, fold.M_heldout.col_idx

@@ -101,16 +101,15 @@ def read_matrix_market(path):
 
 
 def write_matrix_market(path, X, M):
+    # zero-copy (m, n) views of the row and column numbers
+    grids = (np.broadcast_to(g, X.shape) for g in np.indices(X.shape, sparse=True))
+    ri, ci = (M.observed(g).ravel() for g in grids)
+    vals = M.observed(X).ravel()
     with open(path, "w", encoding="utf-8") as f:
         f.write(MM_BANNER + "\n")
-        if M.is_full:
-            ri, ci = np.indices(X.shape)
-            ri, ci = ri.ravel(), ci.ravel()
-        else:
-            ri, ci = M.row_idx, M.col_idx
-        f.write(f"{X.shape[0]} {X.shape[1]} {ri.size}\n")
-        for i, j in zip(ri, ci):
-            f.write(f"{i + 1} {j + 1} {X[i, j]:.17g}\n")
+        f.write(f"{X.shape[0]} {X.shape[1]} {vals.size}\n")
+        for i, j, v in zip(ri, ci, vals):
+            f.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
 def read_movielens(path, flavor):

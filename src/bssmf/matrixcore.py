@@ -1,4 +1,5 @@
-"""Dense-matrix kernels: masked residuals, objective, gradients, spectral norm."""
+"""Observation masks and the kernels over them: masked residuals, objective,
+gradients, spectral norm."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,7 +13,11 @@ class ObservationMask:
     """Per-entry observation weights in (0, 1]; unlisted cells are missing (weight 0).
 
     A full mask (all weights 1) is stored as a sentinel without materializing
-    entries.
+    entries. A sparse mask keeps its cells in canonical column-major order
+    (sorted by column, then row), whatever order they were given in, together
+    with the matching CSC pattern. This class is the only place that tells the
+    two cases apart: callers read observed values through :meth:`observed` and
+    :meth:`row_extrema`.
     """
 
     def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, _full=False):
@@ -22,23 +27,30 @@ class ObservationMask:
         self.cols = int(cols)
         self._full = _full
         if _full:
-            self.row_idx = self.col_idx = self.weights = None
+            self.row_idx = self.col_idx = self.weights = self._pattern = None
             return
-        self.row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
-        self.col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
-        self.weights = np.asarray(weights if weights is not None else [], dtype=np.float64)
-        if not (self.row_idx.shape == self.col_idx.shape == self.weights.shape):
+        row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
+        col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
+        weights = np.asarray(weights if weights is not None else [], dtype=np.float64)
+        if not (row_idx.shape == col_idx.shape == weights.shape):
             raise ShapeError("mask index/weight arrays must have equal length")
-        if self.row_idx.size:
-            if self.row_idx.min() < 0 or self.row_idx.max() >= rows:
+        if row_idx.size:
+            if row_idx.min() < 0 or row_idx.max() >= rows:
                 raise ShapeError("mask row index out of range")
-            if self.col_idx.min() < 0 or self.col_idx.max() >= cols:
+            if col_idx.min() < 0 or col_idx.max() >= cols:
                 raise ShapeError("mask col index out of range")
-            if np.any(self.weights <= 0) or np.any(self.weights > 1):
+            if not np.all((weights > 0) & (weights <= 1)):
                 raise ValueError("mask weights must lie in (0, 1]")
-            flat = self.row_idx * cols + self.col_idx
-            if np.unique(flat).size != flat.size:
-                raise ValueError("duplicate (row, col) pair in mask")
+        key = col_idx * rows + row_idx
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate (row, col) pair in mask")
+        self.row_idx = row_idx[order]
+        self.col_idx = col_idx[order]
+        self.weights = weights[order]
+        indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
+        self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
 
     @classmethod
     def full(cls, rows, cols):
@@ -62,21 +74,22 @@ class ObservationMask:
     def nnz(self):
         return self.rows * self.cols if self._full else self.row_idx.size
 
-    def to_csr(self):
-        """Weights as a scipy CSR matrix (full mask is materialized; avoid on big inputs)."""
-        if self._full:
-            return sp.csr_matrix(np.ones((self.rows, self.cols)))
-        return sp.csr_matrix(
-            (self.weights, (self.row_idx, self.col_idx)), shape=(self.rows, self.cols)
-        )
+    def observed(self, A):
+        """Entries of the rows x cols array A at observed cells: A itself for a
+        full mask (no copy), else a 1-D array in canonical order."""
+        return A if self._full else A[self.row_idx, self.col_idx]
 
-    def dense_weights(self):
-        W = np.zeros((self.rows, self.cols))
+    def row_extrema(self, A):
+        """Per-row (min, max) of A over observed cells; (inf, -inf) for a row
+        with none."""
         if self._full:
-            W[:] = 1.0
-        else:
-            W[self.row_idx, self.col_idx] = self.weights
-        return W
+            return A.min(axis=1), A.max(axis=1)
+        vals = self.observed(A)
+        lo = np.full(self.rows, np.inf)
+        hi = np.full(self.rows, -np.inf)
+        np.minimum.at(lo, self.row_idx, vals)
+        np.maximum.at(hi, self.row_idx, vals)
+        return lo, hi
 
 
 def _check_dims(X, W, H, M):
@@ -94,86 +107,56 @@ def product_at(W, H, row_idx, col_idx):
     return np.einsum("ij,ij->i", W[row_idx, :], H[:, col_idx].T)
 
 
-def masked_residual(X, W, H, M):
-    """M o (X - WH) at observed cells.
+def _residual(X, W, H, M, power, as_matrix=True):
+    """M^power o (X - WH) at observed cells.
 
-    Full mask: dense ndarray. Sparse mask: CSR matrix holding the weighted
-    residual only at observed cells (the dense product WH is never formed).
+    Full mask: dense ndarray (weights are all 1). Sparse mask: CSC matrix on
+    the mask's pattern, or with as_matrix=False the 1-D values in canonical
+    order. The dense product WH is never formed for a sparse mask.
     """
     _check_dims(X, W, H, M)
     if M.is_full:
         return X - W @ H
-    vals = M.weights * (X[M.row_idx, M.col_idx] - product_at(W, H, M.row_idx, M.col_idx))
-    return sp.csr_matrix((vals, (M.row_idx, M.col_idx)), shape=X.shape)
+    vals = M.weights**power * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
+    if not as_matrix:
+        return vals
+    P = M._pattern
+    return sp.csc_matrix((vals, P.indices, P.indptr), shape=P.shape)
+
+
+def masked_residual(X, W, H, M):
+    """M o (X - WH) at observed cells.
+
+    Full mask: dense ndarray. Sparse mask: CSC matrix holding the weighted
+    residual only at observed cells, stored in the mask's canonical
+    column-major order.
+    """
+    return _residual(X, W, H, M, 1)
 
 
 def objective(X, W, H, M):
     """0.5 * sum over observed cells of (M(i,j) * (X - WH)(i,j))^2.
 
-    Accumulated in column-major order for run-to-run comparability.
+    A sparse mask sums its residual vector in canonical column-major order,
+    so the result does not depend on the order the cells were given in.
     """
-    R = masked_residual(X, W, H, M)
-    if M.is_full:
-        return 0.5 * float(np.sum(np.square(R), dtype=np.float64))
-    # column-major: sort residual entries by (col, row)
-    order = np.lexsort((M.row_idx, M.col_idx))
-    vals = np.asarray(R[M.row_idx, M.col_idx]).ravel()[order]
-    return 0.5 * float(np.sum(np.square(vals), dtype=np.float64))
-
-
-def _weighted_residual(X, W, H, M):
-    """(M o M) o (X - WH): the residual scaled so that gradients of the
-    weighted objective are exact for non-binary weights (for binary masks this
-    equals the plain masked residual)."""
-    if M.is_full:
-        return X - W @ H
-    vals = M.weights**2 * (
-        X[M.row_idx, M.col_idx] - product_at(W, H, M.row_idx, M.col_idx)
-    )
-    return sp.csr_matrix((vals, (M.row_idx, M.col_idx)), shape=X.shape)
+    R = _residual(X, W, H, M, 1, as_matrix=False)
+    return 0.5 * float(np.sum(np.square(R), dtype=np.float64))
 
 
 def gradient_W(X, W, H, M):
     """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T."""
-    _check_dims(X, W, H, M)
-    R = _weighted_residual(X, W, H, M)
-    return -np.asarray(R @ H.T)
+    return -np.asarray(_residual(X, W, H, M, 2) @ H.T)
 
 
 def gradient_H(X, W, H, M):
     """Gradient of the masked objective w.r.t. H: -W^T (MoMo(X-WH))."""
-    _check_dims(X, W, H, M)
-    R = _weighted_residual(X, W, H, M)
-    return -np.asarray(W.T @ R)
+    return -np.asarray(W.T @ _residual(X, W, H, M, 2))
 
 
-def spectral_norm(A, tol=1e-9, max_iters=1000):
-    """Largest eigenvalue of a symmetric PSD matrix via power iteration.
-
-    Deterministic all-ones start; converged when successive Rayleigh quotients
-    agree to `tol` relative. Returns the last Rayleigh quotient if max_iters
-    is exhausted.
-    """
+def spectral_norm(A):
+    """Largest eigenvalue of a symmetric PSD matrix (0 for the zero matrix)."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"spectral_norm needs a square matrix, got {A.shape}")
-    n = A.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = float(v @ (A @ v))
-    for it in range(max_iters):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            if it == 0:
-                # all-ones start may sit in the null space; retry from a fixed
-                # pseudo-random direction
-                v = np.random.default_rng(0).standard_normal(n)
-                v /= np.linalg.norm(v)
-                continue
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+    return max(float(np.linalg.eigvalsh(A)[-1]), 0.0)

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrixcore import ObservationMask
 from .projections import BoundsVector
 
 
@@ -15,29 +16,18 @@ class PreprocessRecord:
     params: dict
 
 
-def _observed_values_by_row(X, M):
-    """List of observed-value arrays, one per row."""
-    m = X.shape[0]
-    if M is None or M.is_full:
-        return [X[i, :] for i in range(m)]
-    groups = {}
-    for i, j in zip(M.row_idx, M.col_idx):
-        groups.setdefault(int(i), []).append(int(j))
-    return [X[i, groups[i]] if i in groups else np.empty(0) for i in range(m)]
+def _mask_for(X, M):
+    """M, or a full mask when M is None."""
+    return ObservationMask.full(*X.shape) if M is None else M
 
 
 def infer_bounds(X, M=None):
     """Tightest data-consistent per-row bounds: observed min/max of each row."""
     X = np.asarray(X, dtype=np.float64)
-    rows = _observed_values_by_row(X, M)
-    m = X.shape[0]
-    lo = np.empty(m)
-    hi = np.empty(m)
-    for i, vals in enumerate(rows):
-        if vals.size == 0:
-            raise ValueError(f"row {i} has no observed entries; cannot infer bounds")
-        lo[i] = vals.min()
-        hi[i] = vals.max()
+    lo, hi = _mask_for(X, M).row_extrema(X)
+    empty = np.flatnonzero(lo > hi)
+    if empty.size:
+        raise ValueError(f"row {int(empty[0])} has no observed entries; cannot infer bounds")
     return BoundsVector(lo, hi)
 
 
@@ -68,17 +58,16 @@ def unrescale_rows(Xp, record):
 def remove_constant_rows(X, M=None, tol=0.0):
     """Drop rows whose observed entries span <= tol; returns (X_reduced, keep_map).
 
-    keep_map[k] is the original row index of reduced row k. Reinsert constant
-    rows into a solved W with reinsert_constant_rows.
+    keep_map[k] is the original row index of reduced row k; a dropped row's
+    constant is its observed minimum (0 for a row with no observed entry).
+    Reinsert constant rows into a solved W with reinsert_constant_rows.
     """
     X = np.asarray(X, dtype=np.float64)
-    rows = _observed_values_by_row(X, M)
-    keep, dropped = [], {}
-    for i, vals in enumerate(rows):
-        if vals.size and vals.max() - vals.min() > tol:
-            keep.append(i)
-        else:
-            dropped[i] = float(vals[0]) if vals.size else 0.0
+    lo, hi = _mask_for(X, M).row_extrema(X)
+    varies = hi - lo > tol
+    keep = np.flatnonzero(varies).tolist()
+    dropped = {int(i): float(lo[i]) if lo[i] <= hi[i] else 0.0
+               for i in np.flatnonzero(~varies)}
     if not keep:
         raise ValueError("all rows are constant; nothing to factorize")
     return X[keep, :], {"keep": keep, "dropped": dropped, "m": X.shape[0]}
@@ -115,12 +104,10 @@ def unrescale_columns(Xp, record):
 def center(X, M=None):
     """Subtract the mean of observed entries; returns (X', c, record)."""
     X = np.asarray(X, dtype=np.float64)
-    if M is None or M.is_full:
-        c = float(np.mean(X))
-    else:
-        if M.nnz == 0:
-            raise ValueError("cannot center: no observed entries")
-        c = float(np.mean(X[M.row_idx, M.col_idx]))
+    M = _mask_for(X, M)
+    if M.nnz == 0:
+        raise ValueError("cannot center: no observed entries")
+    c = float(np.mean(M.observed(X)))
     return X - c, c, PreprocessRecord("center", {"c": c})
 
 

@@ -115,11 +115,18 @@ def initialize(X, M, variant, config):
 
 def _lipschitz_floor(X, M):
     m, n = X.shape
-    if M.is_full:
-        sq = float(np.sum(np.square(X)))
-    else:
-        sq = float(np.sum(np.square(X[M.row_idx, M.col_idx])))
+    sq = float(np.sum(np.square(M.observed(X))))
     return 1e-12 * max(1.0, sq / (m * n))
+
+
+def _check_observed(X, M, bounds=None):
+    """Raise on a non-finite observed entry; warn if one lies outside bounds."""
+    if not np.all(np.isfinite(M.observed(X))):
+        raise ValueError("X has a non-finite (NaN or inf) observed entry")
+    if bounds is not None:
+        lo, hi = M.row_extrema(X)
+        if np.any(lo < bounds.lower) or np.any(hi > bounds.upper):
+            warnings.warn("observed entries outside [a, b]; proceeding anyway")
 
 
 class _BlockState:
@@ -138,24 +145,26 @@ class _BlockState:
         return min((a0 - 1.0) / self.alpha, 0.9999 * np.sqrt(self.L_prev / self.L))
 
 
-def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate):
+def _block_step(F, F_old, gradient, project, state, n_inner, extrapolate):
+    """n_inner extrapolated projected-gradient steps on one factor block F;
+    gradient(F_bar) is the block gradient at the extrapolated point."""
     for _ in range(n_inner):
         beta = state.beta(extrapolate)
-        W_bar = W + beta * (W - W_old) if beta != 0.0 else W
-        W_old = W
-        W = variant.project_W(W_bar - mc.gradient_W(X, W_bar, H, M) / state.L)
+        F_bar = F + beta * (F - F_old) if beta != 0.0 else F
+        F_old = F
+        F = project(F_bar - gradient(F_bar) / state.L)
         state.L_prev = state.L
-    return W, W_old
+    return F, F_old
+
+
+def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate):
+    return _block_step(W, W_old, lambda Wb: mc.gradient_W(X, Wb, H, M),
+                       variant.project_W, state, n_inner, extrapolate)
 
 
 def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
-    for _ in range(n_inner):
-        beta = state.beta(extrapolate)
-        H_bar = H + beta * (H - H_old) if beta != 0.0 else H
-        H_old = H
-        H = variant.project_H(H_bar - mc.gradient_H(X, W, H_bar, M) / state.L)
-        state.L_prev = state.L
-    return H, H_old
+    return _block_step(H, H_old, lambda Hb: mc.gradient_H(X, W, Hb, M),
+                       variant.project_H, state, n_inner, extrapolate)
 
 
 def solve(X, M, variant, config, objective_fn=None, on_outer=None):
@@ -168,17 +177,7 @@ def solve(X, M, variant, config, objective_fn=None, on_outer=None):
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     config.validate(m, n)
-    if variant.kind == BSSMF and not M.is_full:
-        obs = X[M.row_idx, M.col_idx]
-        lo = variant.bounds.lower[M.row_idx]
-        hi = variant.bounds.upper[M.row_idx]
-        if np.any(obs < lo) or np.any(obs > hi):
-            warnings.warn("observed entries outside [a, b]; proceeding anyway")
-    elif variant.kind == BSSMF:
-        if np.any(X < variant.bounds.lower[:, None]) or np.any(
-            X > variant.bounds.upper[:, None]
-        ):
-            warnings.warn("observed entries outside [a, b]; proceeding anyway")
+    _check_observed(X, M, variant.bounds if variant.kind == BSSMF else None)
 
     factors = initialize(X, M, variant, config)
     if objective_fn is None:
@@ -234,12 +233,10 @@ def solve_centered(X, M, variant, config):
     if variant.kind != BSSMF:
         raise ConfigError("centering requires the bounded simplex variant")
     X = np.asarray(X, dtype=np.float64)
-    if M.is_full:
-        c = float(np.mean(X))
-    else:
-        if M.nnz == 0:
-            raise ValueError("cannot center with an empty mask")
-        c = float(np.mean(X[M.row_idx, M.col_idx]))
+    if M.nnz == 0:
+        raise ValueError("cannot center with an empty mask")
+    _check_observed(X, M)
+    c = float(np.mean(M.observed(X)))
     Xc = X - c
     shifted = ModelVariant.bssmf(
         BoundsVector(variant.bounds.lower - c, variant.bounds.upper - c)
@@ -263,28 +260,9 @@ def predict_cells(W, H, rows, cols, bounds=None):
         hi = bounds.upper[rows]
         finite = np.isfinite(lo) & np.isfinite(hi)
         slack = 1e-9 * np.maximum(1.0, np.abs(hi[finite]))
-        assert np.all(vals[finite] >= lo[finite] - slack) and np.all(
-            vals[finite] <= hi[finite] + slack
-        ), "prediction escapes per-row bounds"
+        if not (np.all(vals[finite] >= lo[finite] - slack)
+                and np.all(vals[finite] <= hi[finite] + slack)):
+            raise ValueError("prediction escapes per-row bounds")
         vals = np.clip(vals, lo, hi)
     return vals
 
-
-def predict(factors, cells, bounds=None):
-    """W(i,:) . H(:,j) per (i, j) cell; clamped-and-checked against per-row
-    bounds when given (BSSMF predictions are convex combinations of W rows)."""
-    W, H = factors.W, factors.H
-    m, n = W.shape[0], H.shape[1]
-    out = []
-    for i, j in cells:
-        if not (0 <= i < m and 0 <= j < n):
-            raise IndexError(f"cell ({i}, {j}) out of range for {m}x{n}")
-        v = float(W[i, :] @ H[:, j])
-        if bounds is not None and np.isfinite(bounds.lower[i]):
-            slack = 1e-9 * max(1.0, abs(bounds.upper[i]))
-            assert bounds.lower[i] - slack <= v <= bounds.upper[i] + slack, (
-                f"prediction {v} escapes [{bounds.lower[i]}, {bounds.upper[i]}]"
-            )
-            v = min(max(v, bounds.lower[i]), bounds.upper[i])
-        out.append(v)
-    return out

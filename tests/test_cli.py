@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from bssmf import cli
 from bssmf.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SSC_FAIL,
     main,
@@ -53,6 +55,16 @@ class TestFactorize:
             "factorize", "--input", example_csv, "--rank", "99",
             "--variant", "mf",
         ]) == EXIT_CONFIG
+
+    def test_nonfinite_observed_entry_exit(self, monkeypatch, capsys):
+        X = EXAMPLE_X / 4.0
+        X[2, 3] = np.nan
+        monkeypatch.setattr(cli, "_load_matrix",
+                            lambda path: (X, cli.ObservationMask.full(*X.shape)))
+        assert main([
+            "factorize", "--input", "X.csv", "--rank", "2", "--bounds", "0:3",
+        ]) == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
 
     def test_io_error_exit(self):
         assert main([
@@ -118,6 +130,14 @@ class TestSynth:
         W = read_dense_csv(prefix + "Wtrue.csv")
         H = read_dense_csv(prefix + "Htrue.csv")
         assert np.allclose(X, W @ H)
+
+    def test_inconsistent_instance_exit(self, tmp_path, monkeypatch):
+        W, H = np.ones((4, 2)), np.full((2, 4), 0.5)
+        monkeypatch.setattr(cli.ident, "generate_synthetic",
+                            lambda spec: (W, H, W @ H + 1.0))
+        code = main(["synth", "--m", "4", "--n", "4", "--rank", "2",
+                     "--out-prefix", str(tmp_path / "s_")])
+        assert code == EXIT_NUMERICAL
 
     def test_p01_fraction(self, tmp_path):
         prefix = str(tmp_path / "s_")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bssmf.evaluation import (
+    Fold,
     RatingsDataset,
     SplitSpec,
     evaluate_fold,
@@ -10,6 +11,7 @@ from bssmf.evaluation import (
     solve_h_given_w,
     split,
 )
+from bssmf.matrixcore import ObservationMask
 from bssmf.projections import project_simplex_columns
 from bssmf.solver import SolverConfig
 
@@ -120,10 +122,19 @@ class TestEvaluateFold:
         fold = split(ds, SplitSpec(test_user_count=5, min_ratings_per_item=1, seed=1))
         cfg = SolverConfig(rank=3, max_outer=50, max_inner_W=1, max_inner_H=1,
                            rel_tol=0.0, seed=0, record_trace=False)
-        # the bound assertion inside predict_cells fires if any prediction
+        # the bound check inside predict_cells raises if any prediction
         # escapes [1, 5]
         rep = evaluate_fold(fold, "bssmf", cfg)
         assert rep.rmse_test >= 0
+
+    def test_leaked_heldout_cell_rejected(self):
+        X = np.full((3, 2), 3.0)
+        known = ObservationMask(3, 2, [0, 1, 2], [0, 1, 1], np.ones(3))
+        held = ObservationMask(3, 2, [1, 2], [0, 1], np.ones(2))  # (2, 1) is in both
+        fold = Fold(X_train=X, M_train=ObservationMask.full(3, 2), X_test=X,
+                    M_known=known, M_heldout=held, num_items=3)
+        with pytest.raises(ValueError, match="leaked"):
+            evaluate_fold(fold, "bssmf", SolverConfig(rank=1, max_outer=1))
 
 
 class TestSweep:

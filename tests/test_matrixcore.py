@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssmf.matrixcore import (
     ObservationMask,
@@ -16,7 +18,8 @@ from conftest import EXAMPLE_H, EXAMPLE_W, EXAMPLE_X, random_mask
 
 def triple_loop_objective(X, W, H, M):
     """Independent oracle: naive loops over observed cells."""
-    Wd = M.dense_weights()
+    Wd = np.zeros((M.rows, M.cols))
+    Wd[M.row_idx, M.col_idx] = M.weights
     total = 0.0
     for j in range(X.shape[1]):
         for i in range(X.shape[0]):
@@ -168,7 +171,84 @@ class TestMask:
             ObservationMask.from_entries(2, 2, [(0, 0, 1.5)])
         with pytest.raises(ValueError):
             ObservationMask.from_entries(2, 2, [(0, 0, 0.0)])
+        with pytest.raises(ValueError):
+            ObservationMask.from_entries(2, 2, [(0, 0, np.nan)])
 
     def test_full_sentinel(self):
         M = ObservationMask.full(3, 4)
         assert M.is_full and M.nnz == 12
+
+
+@st.composite
+def masked_problems(draw):
+    """Shape, distinct cells in random order, weights in (0, 1], a permutation
+    of the cells, and a seed for X, W and H."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    flat = draw(st.lists(st.integers(0, m * n - 1), min_size=1, max_size=m * n,
+                         unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(flat),
+                            max_size=len(flat)))
+    perm = draw(st.permutations(range(len(flat))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, n, np.array(flat) // n, np.array(flat) % n, np.array(weights), perm, seed
+
+
+def _factors(seed, m, n):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 4))
+    return rng.uniform(size=(m, n)), rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+
+
+class TestCanonicalMask:
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_permutation_invariant(self, problem):
+        m, n, rows, cols, w, perm, seed = problem
+        M1 = ObservationMask(m, n, rows, cols, w)
+        M2 = ObservationMask(m, n, rows[perm], cols[perm], w[perm])
+        assert np.array_equal(M1.row_idx, M2.row_idx)
+        assert np.array_equal(M1.col_idx, M2.col_idx)
+        assert np.array_equal(M1.weights, M2.weights)
+        X, W, H = _factors(seed, m, n)
+        assert objective(X, W, H, M1) == objective(X, W, H, M2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_cells_in_column_major_order(self, problem):
+        m, n, rows, cols, w, _, _ = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        key = M.col_idx * m + M.row_idx
+        assert np.all(np.diff(key) > 0)
+        dense = np.zeros((m, n))
+        dense[rows, cols] = w
+        assert np.array_equal(M.weights, dense[M.row_idx, M.col_idx])
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_objective_matches_triple_loop(self, problem):
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        X, W, H = _factors(seed, m, n)
+        want = triple_loop_objective(X, W, H, M)
+        assert objective(X, W, H, M) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_row_extrema_match_loop(self, problem):
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        X, _, _ = _factors(seed, m, n)
+        lo, hi = M.row_extrema(X)
+        for i in range(m):
+            vals = [X[i, j] for r, j in zip(rows, cols) if r == i]
+            assert lo[i] == (min(vals) if vals else np.inf)
+            assert hi[i] == (max(vals) if vals else -np.inf)
+
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_full_mask_observed_is_no_copy(self, m, n):
+        X = np.arange(float(m * n)).reshape(m, n)
+        M = ObservationMask.full(m, n)
+        assert M.observed(X) is X and np.shares_memory(M.observed(X), X)
+        lo, hi = M.row_extrema(X)
+        assert np.array_equal(lo, X[:, 0]) and np.array_equal(hi, X[:, -1])

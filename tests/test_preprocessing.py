@@ -107,6 +107,15 @@ class TestRemoveConstantRows:
         Xr, _ = remove_constant_rows(X, tol=0.0)
         assert Xr.shape[0] == 2  # 1e-16 spread > 0: kept
 
+    def test_masked_rows(self):
+        # only observed cells count: row 0 is constant where observed, row 2
+        # has no observed cell, row 1 varies
+        X = np.array([[4.0, 9.0, 4.0], [0.0, 1.0, 2.0], [7.0, 8.0, 9.0]])
+        M = ObservationMask(3, 3, [0, 1, 0, 1], [2, 1, 0, 0], np.ones(4))
+        Xr, rmap = remove_constant_rows(X, M)
+        assert np.array_equal(Xr, X[[1], :])
+        assert rmap["keep"] == [1] and rmap["dropped"] == {0: 4.0, 2: 0.0}
+
     def test_all_constant_error(self):
         with pytest.raises(ValueError, match="all rows"):
             remove_constant_rows(np.ones((3, 2)))

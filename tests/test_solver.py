@@ -3,11 +3,10 @@ import pytest
 
 from bssmf import (
     BoundsVector,
-    FactorPair,
     ModelVariant,
     ObservationMask,
     SolverConfig,
-    predict,
+    predict_cells,
     solve,
     solve_centered,
 )
@@ -181,6 +180,28 @@ class TestSolve:
             solve(X, ObservationMask.full(3, 3), var,
                   SolverConfig(rank=1, max_outer=2, seed=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_nonfinite_observed_entry_raises(self, bad, solver):
+        X = np.full((4, 3), 0.5)
+        X[1, 2] = bad
+        var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(X, ObservationMask.full(4, 3), var, SolverConfig(rank=2, seed=0))
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_nan_in_unobserved_cell_ignored(self, solver):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(size=(5, 4))
+        X[1, 2] = np.nan
+        cells = [(i, j, 1.0) for i in range(5) for j in range(4) if (i, j) != (1, 2)]
+        M = ObservationMask.from_entries(5, 4, cells)
+        var = ModelVariant.bssmf(BoundsVector.constant(5, 0, 1))
+        cfg = SolverConfig(rank=2, max_outer=5, rel_tol=0.0, seed=0)
+        f, rep = solver(X, M, var, cfg)
+        assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H))
+        assert np.all(np.isfinite(rep.objective_trace))
+
 
 class TestCentering:
     def test_objective_equivalence_on_feasible_points(self):
@@ -260,7 +281,7 @@ class TestPredict:
     def test_vertex_selection(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         H = np.array([[0.0], [1.0]])
-        assert predict(FactorPair(W, H), [(0, 0), (1, 0)]) == [2.0, 4.0]
+        assert predict_cells(W, H, [0, 1], [0, 0]).tolist() == [2.0, 4.0]
 
     def test_within_bounds(self):
         rng = np.random.default_rng(13)
@@ -268,20 +289,27 @@ class TestPredict:
         W = rng.uniform(1, 5, size=(6, 3))
         H = project_simplex_columns(rng.uniform(size=(3, 7)))
         b = BoundsVector.constant(6, 1, 5)
-        vals = predict(FactorPair(W, H), [(i, j) for i in range(6) for j in range(7)],
-                       bounds=b)
+        rows, cols = np.indices((6, 7))
+        vals = predict_cells(W, H, rows.ravel(), cols.ravel(), bounds=b)
         assert all(1.0 <= v <= 5.0 for v in vals)
 
     def test_out_of_range_index(self):
         W = np.ones((2, 1))
         H = np.ones((1, 2))
         with pytest.raises(IndexError):
-            predict(FactorPair(W, H), [(2, 0)])
+            predict_cells(W, H, [2], [0])
 
     def test_exact_factorization_recovers_data(self, example6x6=None):
         rng = np.random.default_rng(14)
         W = rng.uniform(size=(4, 2))
         H = rng.uniform(size=(2, 5))
         X = W @ H
-        vals = predict(FactorPair(W, H), [(1, 2), (3, 4)])
+        vals = predict_cells(W, H, [1, 3], [2, 4])
         assert vals[0] == pytest.approx(X[1, 2]) and vals[1] == pytest.approx(X[3, 4])
+
+    def test_escaping_bounds_raises(self):
+        # W outside [0, 1]: the prediction 2.0 escapes the per-row bounds
+        W = np.array([[2.0]])
+        H = np.array([[1.0]])
+        with pytest.raises(ValueError, match="escapes"):
+            predict_cells(W, H, [0], [0], bounds=BoundsVector.constant(1, 0, 1))
