@@ -39,8 +39,8 @@ def _parse_bounds(spec_str, X, M):
         lo, hi = spec_str.split(":", 1)
         return BoundsVector.constant(X.shape[0], float(lo), float(hi))
     B = iof.read_dense_csv(spec_str)
-    if B.shape[1] != 2:
-        raise ValueError("bounds file must have two columns (lower, upper)")
+    if B.shape != (X.shape[0], 2):
+        raise ValueError(f"bounds file must have {X.shape[0]} rows of two columns (lower, upper)")
     return BoundsVector(B[:, 0], B[:, 1])
 
 
@@ -49,14 +49,6 @@ def _load_matrix(path):
         return iof.read_matrix_market(path)
     X = iof.read_dense_csv(path)
     return X, ObservationMask.full(*X.shape)
-
-
-def _variant(kind, m, bounds):
-    if kind == "bssmf":
-        return sv.ModelVariant.bssmf(bounds)
-    if kind == "nmf":
-        return sv.ModelVariant.nmf(m)
-    return sv.ModelVariant.mf(m)
 
 
 def _print_config(name, ns):
@@ -71,7 +63,7 @@ def cmd_factorize(args):
         return _fail(EXIT_IO, e)
     try:
         bounds = _parse_bounds(args.bounds, X, M)
-        variant = _variant(args.variant, X.shape[0], bounds)
+        variant = sv.ModelVariant.from_kind(args.variant, bounds)
         seeds = range(args.seed, args.seed + args.seed_sweep)
         best = None
         for seed in seeds:
@@ -104,7 +96,7 @@ def cmd_factorize(args):
 
 def cmd_complete(args):
     try:
-        dataset = iof.read_movielens(args.ratings, args.flavor)
+        dataset = iof.read_movielens(args.ratings_file, args.flavor)
     except (OSError, iof.DataFormatError) as e:
         return _fail(EXIT_IO, e)
     try:
@@ -116,7 +108,7 @@ def cmd_complete(args):
         )
         reports = ev.overfitting_sweep(
             dataset, spec, ranks, [args.variant], list(range(args.seeds)),
-            center=args.center, dataset_name=args.ratings,
+            center=args.center, dataset_name=args.ratings_file,
         )
     except (ValueError, sv.ConfigError) as e:
         return _fail(EXIT_CONFIG, e)
@@ -270,7 +262,7 @@ def build_parser():
     f.set_defaults(func=cmd_factorize)
 
     c = sub.add_parser("complete", help="matrix-completion evaluation on ratings")
-    c.add_argument("--ratings", required=True)
+    c.add_argument("--ratings", required=True, dest="ratings_file")
     c.add_argument("--flavor", choices=["dat", "tsv"], required=True)
     c.add_argument("--rank", required=True, help="single rank or comma list")
     c.add_argument("--variant", choices=["bssmf", "nmf", "mf"], default="bssmf")

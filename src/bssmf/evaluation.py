@@ -6,7 +6,7 @@ user's known ratings, then RMSE is computed on the held-out ones.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,17 +18,37 @@ from .projections import BoundsVector
 
 @dataclass
 class RatingsDataset:
+    """Rating k is user ``users[k]`` giving item ``items[k]`` the value
+    ``values[k]``; ids are dense and 0-based. ``user_map``/``item_map`` take a
+    file's raw id strings to those ids (first-seen order); empty for in-memory data."""
+
     num_users: int
     num_items: int
-    ratings: list  # (user, item, value, timestamp or None)
+    users: np.ndarray
+    items: np.ndarray
+    values: np.ndarray
     value_range: tuple = (1.0, 5.0)
+    user_map: dict = field(default_factory=dict)
+    item_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        seen = set()
-        for u, i, v, _ in self.ratings:
-            if (u, i) in seen:
-                raise ValueError(f"duplicate rating for user {u}, item {i}")
-            seen.add((u, i))
+        self.users = np.asarray(self.users, dtype=np.intp)
+        self.items = np.asarray(self.items, dtype=np.intp)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if not (self.users.ndim == 1
+                and self.users.shape == self.items.shape == self.values.shape):
+            raise ValueError("users, items and values must be 1-D arrays of equal length")
+        if np.any(self.users < 0) or np.any(self.users >= self.num_users):
+            raise ValueError(f"user id outside [0, {self.num_users})")
+        if np.any(self.items < 0) or np.any(self.items >= self.num_items):
+            raise ValueError(f"item id outside [0, {self.num_items})")
+        key = np.sort(self.users * self.num_items + self.items)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:  # named by raw ids where the maps have them
+            u, i = divmod(int(key[dup[0]]), self.num_items)
+            u = next((raw for raw, d in self.user_map.items() if d == u), u)
+            i = next((raw for raw, d in self.item_map.items() if d == i), i)
+            raise ValueError(f"duplicate rating for user {u}, item {i}")
 
 
 @dataclass
@@ -66,8 +86,9 @@ class EvalReport:
 
 def split(dataset, spec):
     """Seeded split: drop items rated < min_ratings_per_item, pick test users
-    at random, and cut each test user's ratings 80/20 into known/held-out."""
-    if not dataset.ratings:
+    at random, and cut each test user's ratings 80/20 into known/held-out.
+    Rows are the kept items and columns the users, each in increasing id order."""
+    if dataset.users.size == 0:
         raise ValueError("empty dataset")
     if not (0 < spec.known_fraction < 1):
         raise ValueError("known_fraction must be in (0, 1)")
@@ -75,57 +96,49 @@ def split(dataset, spec):
         raise ValueError("test_user_count must be < num_users")
     rng = np.random.default_rng(spec.seed)
 
-    item_counts = np.zeros(dataset.num_items, dtype=int)
-    for _, i, _, _ in dataset.ratings:
-        item_counts[i] += 1
+    item_counts = np.bincount(dataset.items, minlength=dataset.num_items)
     keep_item = item_counts >= spec.min_ratings_per_item
-    item_map = -np.ones(dataset.num_items, dtype=int)
-    item_map[keep_item] = np.arange(int(keep_item.sum()))
     n_items = int(keep_item.sum())
     if n_items == 0:
         raise ValueError("no items survive the rating-count filter")
+    is_test = np.zeros(dataset.num_users, dtype=bool)
+    is_test[rng.choice(dataset.num_users, size=spec.test_user_count, replace=False)] = True
 
-    test_users = set(
-        int(u) for u in rng.choice(dataset.num_users, size=spec.test_user_count, replace=False)
-    )
-    by_user = {}
-    for u, i, v, _ in dataset.ratings:
-        if keep_item[i]:
-            by_user.setdefault(u, []).append((int(item_map[i]), float(v)))
+    # kept ratings grouped by user, stably: the permutations below index dataset order
+    kept = np.flatnonzero(keep_item[dataset.items])
+    kept = kept[np.argsort(dataset.users[kept], kind="stable")]
+    users, values = dataset.users[kept], dataset.values[kept]
+    rows = (np.cumsum(keep_item) - 1)[dataset.items[kept]]
+    per_user = np.bincount(users, minlength=dataset.num_users)
 
-    train_users = sorted(u for u in by_user if u not in test_users)
-    train_col = {u: k for k, u in enumerate(train_users)}
-    usable_test = sorted(u for u in test_users if len(by_user.get(u, [])) >= 2)
-    skipped = len([u for u in test_users if u not in usable_test])
+    train_users = np.flatnonzero((per_user > 0) & ~is_test)
+    usable_test = np.flatnonzero((per_user >= 2) & is_test)
+    skipped = spec.test_user_count - usable_test.size
     if skipped:
         warnings.warn(f"{skipped} test users had < 2 ratings after filtering; excluded")
-    test_col = {u: k for k, u in enumerate(usable_test)}
-
-    X_train = np.zeros((n_items, len(train_users)))
-    tr_entries = []
-    for u in train_users:
-        for i, v in by_user[u]:
-            X_train[i, train_col[u]] = v
-            tr_entries.append((i, train_col[u], 1.0))
-
-    X_test = np.zeros((n_items, len(usable_test)))
-    known_entries, held_entries = [], []
+    in_train = ~is_test[users]
+    known = np.zeros(users.size, dtype=bool)
+    starts = np.cumsum(per_user) - per_user
     for u in usable_test:
-        items = by_user[u]
-        order = rng.permutation(len(items))
-        n_known = int(np.ceil(spec.known_fraction * len(items)))
-        for pos, idx in enumerate(order):
-            i, v = items[idx]
-            X_test[i, test_col[u]] = v
-            dest = known_entries if pos < n_known else held_entries
-            dest.append((i, test_col[u], 1.0))
+        k = int(per_user[u])
+        known[starts[u] + rng.permutation(k)[: int(np.ceil(spec.known_fraction * k))]] = True
+    held = is_test[users] & (per_user[users] >= 2) & ~known
+
+    def matrix(sel, side_users):
+        X = np.zeros((n_items, side_users.size))
+        X[rows[sel], np.searchsorted(side_users, users[sel])] = values[sel]
+        return X
+
+    def mask(sel, side_users):
+        cols = np.searchsorted(side_users, users[sel])
+        return ObservationMask(n_items, side_users.size, rows[sel], cols, np.ones(cols.size))
 
     return Fold(
-        X_train=X_train,
-        M_train=ObservationMask.from_entries(n_items, len(train_users), tr_entries),
-        X_test=X_test,
-        M_known=ObservationMask.from_entries(n_items, len(usable_test), known_entries),
-        M_heldout=ObservationMask.from_entries(n_items, len(usable_test), held_entries),
+        X_train=matrix(in_train, train_users),
+        M_train=mask(in_train, train_users),
+        X_test=matrix(known | held, usable_test),
+        M_known=mask(known, usable_test),
+        M_heldout=mask(held, usable_test),
         num_items=n_items,
         skipped_test_users=skipped,
     )
@@ -154,15 +167,6 @@ def solve_h_given_w(X, M, W, variant, config):
     return H
 
 
-def _variant_for(kind, fold, value_range):
-    m = fold.num_items
-    if kind == sv.BSSMF:
-        return sv.ModelVariant.bssmf(BoundsVector.constant(m, *value_range))
-    if kind == sv.NMF:
-        return sv.ModelVariant.nmf(m)
-    return sv.ModelVariant.mf(m)
-
-
 def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=None):
     """Train on the training users, adapt H on test users' known ratings,
     report held-out RMSE."""
@@ -171,7 +175,8 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=Non
     held = fold.M_heldout.row_idx * cols + fold.M_heldout.col_idx
     if np.intersect1d(known, held).size:
         raise ValueError("held-out cells leaked into the adaptation mask")
-    variant = _variant_for(variant_kind, fold, value_range)
+    variant = sv.ModelVariant.from_kind(
+        variant_kind, BoundsVector.constant(fold.num_items, *value_range))
     use_center = config.center if center is None else center
     if use_center and variant_kind == sv.BSSMF:
         factors, report = sv.solve_centered(fold.X_train, fold.M_train, variant, config)

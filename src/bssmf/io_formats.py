@@ -81,23 +81,28 @@ def read_matrix_market(path):
             m, n, nnz = (int(t) for t in line.split())
         except ValueError:
             raise DataFormatError(f"{path}: bad size line {line!r}") from None
-        X = np.zeros((m, n))
-        entries = []
-        seen = set()
+        rows, cols, vals = [], [], []
         for k in range(nnz):
             parts = f.readline().split()
             if len(parts) != 3:
                 raise DataFormatError(f"{path}: bad entry line {k + 1}")
-            i, j = int(parts[0]), int(parts[1])
-            v = _parse_cell(parts[2], path, i, j)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DataFormatError(f"{path}: non-integer index on entry line {k + 1}: "
+                                      f"{parts[0]} {parts[1]}") from None
+            vals.append(_parse_cell(parts[2], path, i, j))
             if not (1 <= i <= m and 1 <= j <= n):
                 raise DataFormatError(f"{path}: index ({i}, {j}) outside {m}x{n}")
-            if (i, j) in seen:
-                raise DataFormatError(f"{path}: duplicate entry ({i}, {j})")
-            seen.add((i, j))
-            X[i - 1, j - 1] = v
-            entries.append((i - 1, j - 1, 1.0))
-    return X, ObservationMask.from_entries(m, n, entries)
+            rows.append(i - 1)
+            cols.append(j - 1)
+    try:
+        M = ObservationMask(m, n, rows, cols, np.ones(len(vals)))
+    except ValueError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    X = np.zeros((m, n))
+    X[rows, cols] = vals
+    return X, M
 
 
 def write_matrix_market(path, X, M):
@@ -121,8 +126,7 @@ def read_movielens(path, flavor):
     if flavor not in ("dat", "tsv"):
         raise DataFormatError(f"unknown MovieLens flavor {flavor!r}")
     sep = "::" if flavor == "dat" else "\t"
-    user_map, item_map = {}, {}
-    ratings = []
+    uids, iids, values = [], [], []
     out_of_range = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -130,11 +134,11 @@ def read_movielens(path, flavor):
             if not line:
                 continue
             parts = line.split(sep)
-            if len(parts) < 3:
-                raise DataFormatError(f"{path}: malformed line {lineno}: {line!r}")
-            try:
+            try:  # too few fields, a non-numeric rating or timestamp
                 uid, iid, val = parts[0], parts[1], float(parts[2])
-            except ValueError:
+                if len(parts) > 3:
+                    int(parts[3])  # the timestamp is checked, not kept
+            except (IndexError, ValueError):
                 raise DataFormatError(
                     f"{path}: malformed line {lineno}: {line!r}"
                 ) from None
@@ -142,21 +146,20 @@ def read_movielens(path, flavor):
                 raise DataFormatError(f"{path}: non-finite rating at line {lineno}")
             if not (1.0 <= val <= 5.0):
                 out_of_range += 1
-            ts = int(parts[3]) if len(parts) > 3 else None
-            u = user_map.setdefault(uid, len(user_map))
-            i = item_map.setdefault(iid, len(item_map))
-            ratings.append((u, i, val, ts))
+            uids.append(uid)
+            iids.append(iid)
+            values.append(val)
     if out_of_range:
         warnings.warn(f"{path}: {out_of_range} ratings outside [1, 5] kept as-is")
-    ds = RatingsDataset(
-        num_users=len(user_map),
-        num_items=len(item_map),
-        ratings=ratings,
-        value_range=(1.0, 5.0),
-    )
-    ds.user_map = user_map
-    ds.item_map = item_map
-    return ds
+    # dense ids in first-seen order
+    user_map = {raw: k for k, raw in enumerate(dict.fromkeys(uids))}
+    item_map = {raw: k for k, raw in enumerate(dict.fromkeys(iids))}
+    try:
+        return RatingsDataset(len(user_map), len(item_map), [user_map[r] for r in uids],
+                              [item_map[r] for r in iids], values, value_range=(1.0, 5.0),
+                              user_map=user_map, item_map=item_map)
+    except ValueError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 def config_hash(config):

@@ -44,8 +44,10 @@ class ObservationMask:
         key = col_idx * rows + row_idx
         order = np.argsort(key)
         key = key[order]
-        if np.any(key[1:] == key[:-1]):
-            raise ValueError("duplicate (row, col) pair in mask")
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            col, row = divmod(int(key[dup[0]]), rows)
+            raise ValueError(f"duplicate cell in mask at 0-based (row, col) = ({row}, {col})")
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         self.weights = weights[order]
@@ -55,16 +57,6 @@ class ObservationMask:
     @classmethod
     def full(cls, rows, cols):
         return cls(rows, cols, _full=True)
-
-    @classmethod
-    def from_entries(cls, rows, cols, entries):
-        """entries: iterable of (row, col, weight)."""
-        entries = list(entries)
-        if entries:
-            ri, ci, w = zip(*entries)
-        else:
-            ri, ci, w = [], [], []
-        return cls(rows, cols, ri, ci, w)
 
     @property
     def is_full(self):

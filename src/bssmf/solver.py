@@ -32,21 +32,31 @@ class ModelVariant:
 
     kind: str
     bounds: BoundsVector
-    simplex_on_H: bool
+
+    @classmethod
+    def from_kind(cls, kind, bounds):
+        """The variant named kind; nmf and mf take only the row count of bounds."""
+        if kind == BSSMF:
+            return cls.bssmf(bounds)
+        if kind == NMF:
+            return cls.nmf(len(bounds))
+        if kind == MF:
+            return cls.mf(len(bounds))
+        raise ConfigError(f"unknown variant {kind!r} (expected {BSSMF}, {NMF} or {MF})")
 
     @classmethod
     def bssmf(cls, bounds):
         if not bounds.is_finite:
             raise ConfigError("bssmf variant requires finite bounds")
-        return cls(BSSMF, bounds, True)
+        return cls(BSSMF, bounds)
 
     @classmethod
     def nmf(cls, m):
-        return cls(NMF, BoundsVector.nonnegative(m), False)
+        return cls(NMF, BoundsVector.nonnegative(m))
 
     @classmethod
     def mf(cls, m):
-        return cls(MF, BoundsVector.unbounded(m), False)
+        return cls(MF, BoundsVector.unbounded(m))
 
     def project_W(self, W):
         if self.kind == MF:
@@ -54,7 +64,7 @@ class ModelVariant:
         return project_box(W, self.bounds)
 
     def project_H(self, H):
-        if self.simplex_on_H:
+        if self.kind == BSSMF:
             return project_simplex_columns(H)
         if self.kind == NMF:
             return np.maximum(H, 0.0)
@@ -167,12 +177,11 @@ def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
                        variant.project_H, state, n_inner, extrapolate)
 
 
-def solve(X, M, variant, config, objective_fn=None, on_outer=None):
+def solve(X, M, variant, config, objective_fn=None):
     """Run the block-coordinate solver; returns (FactorPair, SolveReport).
 
     objective_fn(W, H) overrides the recorded objective (used by the centered
-    solve to report objectives in original coordinates). on_outer(k, W, H) is
-    invoked after each outer iteration (diagnostics only).
+    solve to report objectives in original coordinates).
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
@@ -211,8 +220,6 @@ def solve(X, M, variant, config, objective_fn=None, on_outer=None):
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
         trace.append(objective_fn(W, H))
         ltrace.append((sw.L, sh.L))
-        if on_outer is not None:
-            on_outer(outer, W, H)
         if config.rel_tol > 0 and len(trace) > 10:
             f_then, f_now = trace[-11], trace[-1]
             if f_then - f_now < config.rel_tol * max(f_then, 1e-300):

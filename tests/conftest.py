@@ -32,4 +32,5 @@ def random_mask(rng, m, n, density=0.5, weighted=False):
     if not cells:
         cells = [(0, 0)]
     w = rng.uniform(0.1, 1.0, size=len(cells)) if weighted else np.ones(len(cells))
-    return ObservationMask.from_entries(m, n, [(i, j, wk) for (i, j), wk in zip(cells, w)])
+    ri, ci = zip(*cells)
+    return ObservationMask(m, n, ri, ci, w)

@@ -207,16 +207,27 @@ def test_05_feasibility_every_iteration():
         config = SolverConfig(rank=r, max_outer=40, max_inner_W=3,
                               max_inner_H=3, rel_tol=0.0, seed=seed,
                               record_trace=False)
+        project_W, project_H = variant.project_W, variant.project_H
 
-        def check(outer, W, H):
-            if np.any(H < 0):
-                failures.append((seed, outer, "H negative"))
-            if np.max(np.abs(H.sum(axis=0) - 1.0)) > 1e-10:
-                failures.append((seed, outer, "H column sums"))
+        # every W and H the solver keeps comes out of the variant's
+        # projections, so checking each projection's output checks every
+        # inner and outer iterate
+        def checked_W(W):
+            W = project_W(W)
             if np.any(W < bounds.lower[:, None]) or np.any(W > bounds.upper[:, None]):
-                failures.append((seed, outer, "W bounds"))
+                failures.append((seed, "W bounds"))
+            return W
 
-        factors, _ = solve(X, mask, variant, config, on_outer=check)
+        def checked_H(H):
+            H = project_H(H)
+            if np.any(H < 0):
+                failures.append((seed, "H negative"))
+            if np.max(np.abs(H.sum(axis=0) - 1.0)) > 1e-10:
+                failures.append((seed, "H column sums"))
+            return H
+
+        variant.project_W, variant.project_H = checked_W, checked_H
+        factors, _ = solve(X, mask, variant, config)
         if mask.is_full:
             rows, cols = np.indices(X.shape)
             rows, cols = rows.ravel(), cols.ravel()
@@ -224,7 +235,7 @@ def test_05_feasibility_every_iteration():
             rows, cols = mask.row_idx, mask.col_idx
         preds = predict_cells(factors.W, factors.H, rows, cols, bounds)
         if np.any(preds < bounds.lower[rows]) or np.any(preds > bounds.upper[rows]):
-            failures.append((seed, -1, "predictions out of bounds"))
+            failures.append((seed, "predictions out of bounds"))
 
     _verdict(5, "feasibility-every-iteration", not failures)
 

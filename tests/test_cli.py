@@ -71,6 +71,12 @@ class TestFactorize:
             "factorize", "--input", "/nonexistent.csv", "--rank", "2",
         ]) == EXIT_IO
 
+    def test_non_integer_mtx_index_exit(self, tmp_path, capsys):
+        p = tmp_path / "X.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 3.0\n")
+        assert main(["factorize", "--input", str(p), "--rank", "1"]) == EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
     def test_reproducible_output(self, tmp_path, example_csv):
         p1, p2 = str(tmp_path / "a_"), str(tmp_path / "b_")
         args = ["factorize", "--input", example_csv, "--rank", "2",
@@ -187,3 +193,16 @@ class TestComplete:
         rows = open(out).read().strip().splitlines()
         assert len(rows) == 3  # header + 2 ranks
         assert rows[1].split(",")[5] == "0"  # std column zero for 1 seed
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("2\t10\t4\tabc", "line 2"),
+        ("1\t10\t4\t0", "duplicate rating for user 1, item 10"),
+    ])
+    def test_bad_ratings_file_exit(self, tmp_path, capsys, bad_line, message):
+        p = tmp_path / "u.data"
+        p.write_text(f"1\t10\t5\t0\n{bad_line}\n")
+        code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "1",
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err

@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssmf.evaluation import (
     Fold,
@@ -13,7 +18,7 @@ from bssmf.evaluation import (
 )
 from bssmf.matrixcore import ObservationMask
 from bssmf.projections import project_simplex_columns
-from bssmf.solver import SolverConfig
+from bssmf.solver import ConfigError, SolverConfig
 
 
 def synthetic_ratings(rng, num_users=40, num_items=30, r=3, per_user=12,
@@ -23,12 +28,11 @@ def synthetic_ratings(rng, num_users=40, num_items=30, r=3, per_user=12,
     W = rng.uniform(lo, hi, size=(num_items, r))
     H = project_simplex_columns(rng.uniform(size=(r, num_users)))
     X = W @ H + noise * rng.standard_normal((num_items, num_users))
-    ratings = []
-    for u in range(num_users):
-        items = rng.choice(num_items, size=per_user, replace=False)
-        for i in items:
-            ratings.append((u, int(i), float(np.clip(X[i, u], lo, hi)), None))
-    return RatingsDataset(num_users, num_items, ratings, value_range), W, H
+    users = np.repeat(np.arange(num_users), per_user)
+    items = np.concatenate([rng.choice(num_items, size=per_user, replace=False)
+                            for _ in range(num_users)])
+    values = np.clip(X[items, users], lo, hi)
+    return RatingsDataset(num_users, num_items, users, items, values, value_range), W, H
 
 
 class TestRMSE:
@@ -79,18 +83,176 @@ class TestSplit:
         assert not known & held
         total = fold.M_train.nnz + fold.M_known.nnz + fold.M_heldout.nnz
         # items all survive the min_ratings=1 filter, so every rating lands somewhere
-        assert total == len(ds.ratings)
+        assert total == ds.values.size
 
     def test_item_filter(self):
-        ratings = [(0, 0, 3.0, None), (1, 0, 4.0, None), (0, 1, 2.0, None),
-                   (1, 1, 5.0, None), (2, 0, 1.0, None), (2, 1, 2.0, None)]
-        ds = RatingsDataset(3, 2, ratings)
+        ds = RatingsDataset(3, 2, [0, 1, 0, 1, 2, 2], [0, 0, 1, 1, 0, 1],
+                            [3.0, 4.0, 2.0, 5.0, 1.0, 2.0])
         fold = split(ds, SplitSpec(test_user_count=1, min_ratings_per_item=3, seed=0))
         assert fold.num_items == 2  # both items have 3 ratings
 
     def test_duplicate_rating_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            RatingsDataset(2, 2, [(0, 0, 3.0, None), (0, 0, 4.0, None)])
+        with pytest.raises(ValueError, match="duplicate rating for user 0, item 0"):
+            RatingsDataset(2, 2, [0, 0], [0, 0], [3.0, 4.0])
+
+
+class TestRatingsDataset:
+    def test_duplicate_named_by_raw_ids(self):
+        with pytest.raises(ValueError, match="user u7, item i100"):
+            RatingsDataset(2, 2, [1, 0, 1], [0, 1, 0], [3.0, 4.0, 5.0],
+                           user_map={"u9": 0, "u7": 1}, item_map={"i100": 0, "i5": 1})
+
+    @pytest.mark.parametrize("users, items, match", [
+        ([0, -1], [0, 1], "user id"),
+        ([0, 2], [0, 1], "user id"),
+        ([0, 1], [-1, 1], "item id"),
+        ([0, 1], [0, 2], "item id"),
+    ])
+    def test_id_out_of_range_rejected(self, users, items, match):
+        with pytest.raises(ValueError, match=match):
+            RatingsDataset(2, 2, users, items, [3.0, 4.0])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            RatingsDataset(2, 2, [0, 1], [0, 1], [3.0])
+
+    def test_arrays_stored_as_numpy(self):
+        ds = RatingsDataset(2, 3, [1, 0], [2, 0], [4, 5])
+        assert ds.users.dtype == np.intp and ds.items.dtype == np.intp
+        assert ds.values.dtype == np.float64
+        assert ds.user_map == {} and ds.item_map == {}
+
+
+@st.composite
+def small_datasets(draw):
+    """3-8 users and 3-40 items in random rating order, each (user, item)
+    pair rated at most once."""
+    num_users = draw(st.integers(3, 8))
+    num_items = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(num_users * num_items // 4 + 1, num_users * num_items))
+    users, items = np.divmod(rng.choice(num_users * num_items, size=nnz, replace=False),
+                             num_items)
+    ds = RatingsDataset(num_users, num_items, users, items, rng.integers(1, 6, nnz))
+    spec = SplitSpec(test_user_count=draw(st.integers(1, num_users - 1)),
+                     known_fraction=draw(st.sampled_from([0.5, 0.8, 0.9])),
+                     min_ratings_per_item=draw(st.integers(1, 3)),
+                     seed=draw(st.integers(0, 2**16)))
+    return ds, spec
+
+
+def _split_or_none(ds, spec):
+    """split, or None where the oracle finds no training or no usable test
+    cell (split must then raise)."""
+    train, test, _, _ = _reference_cells(ds, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if train and test:
+            return split(ds, spec)
+        with pytest.raises(ValueError):
+            split(ds, spec)
+    return None
+
+
+def _reference_cells(ds, spec):
+    """Per-rating loop oracle of the split: {(row, col): value} for the
+    training and the test side, the known test cells, and the number of
+    skipped test users.
+
+    Rows are the kept items and columns the users, each in increasing id
+    order. The split's generator draws the test users, then one permutation
+    of each usable test user's ratings (in dataset order), users in id order.
+    """
+    kept = np.bincount(ds.items, minlength=ds.num_items) >= spec.min_ratings_per_item
+    row_of = {int(i): k for k, i in enumerate(np.flatnonzero(kept))}
+    rng = np.random.default_rng(spec.seed)
+    test_users = set(rng.choice(ds.num_users, size=spec.test_user_count, replace=False).tolist())
+    by_user = {}
+    for u, i, v in zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()):
+        if i in row_of:
+            by_user[u] = by_user.get(u, []) + [(row_of[i], v)]
+    train = sorted(u for u in by_user if u not in test_users)
+    usable = sorted(u for u in test_users if len(by_user.get(u, [])) >= 2)
+    side = [{(i, j): v for j, u in enumerate(users) for i, v in by_user[u]}
+            for users in (train, usable)]
+    known = set()
+    for j, u in enumerate(usable):
+        order = rng.permutation(len(by_user[u]))
+        n_known = math.ceil(spec.known_fraction * len(by_user[u]))
+        known |= {(by_user[u][k][0], j) for k in order[:n_known]}
+    return side[0], side[1], known, len(test_users) - len(usable)
+
+
+def _cells(M):
+    return set(zip(M.row_idx.tolist(), M.col_idx.tolist()))
+
+
+class TestSplitProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(small_datasets())
+    def test_masks_partition_kept_ratings(self, case):
+        ds, spec = case
+        fold = _split_or_none(ds, spec)
+        if fold is None:
+            return
+        train, test, ref_known, skipped = _reference_cells(ds, spec)
+        known, held = _cells(fold.M_known), _cells(fold.M_heldout)
+        assert _cells(fold.M_train) == set(train)
+        assert known | held == set(test) and not known & held
+        assert known == ref_known
+        assert fold.skipped_test_users == skipped
+        # each kept rating is placed once, except those of skipped test users
+        # (fewer than 2 each)
+        kept = np.bincount(ds.items, minlength=ds.num_items) >= spec.min_ratings_per_item
+        unplaced = int(kept[ds.items].sum()) - len(train) - len(test)
+        assert 0 <= unplaced <= skipped
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_datasets())
+    def test_known_count_per_test_user(self, case):
+        ds, spec = case
+        fold = _split_or_none(ds, spec)
+        if fold is None:
+            return
+        k_known = np.bincount(fold.M_known.col_idx, minlength=fold.M_known.cols)
+        k_held = np.bincount(fold.M_heldout.col_idx, minlength=fold.M_heldout.cols)
+        for known, held in zip(k_known.tolist(), k_held.tolist()):
+            assert known + held >= 2
+            assert known == math.ceil(spec.known_fraction * (known + held))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_datasets())
+    def test_matrices_hold_ratings_at_mask_cells(self, case):
+        ds, spec = case
+        fold = _split_or_none(ds, spec)
+        if fold is None:
+            return
+        train, test, _, _ = _reference_cells(ds, spec)
+        for X, cells in ((fold.X_train, train), (fold.X_test, test)):
+            expected = np.zeros_like(X)
+            for (i, j), v in cells.items():
+                expected[i, j] = v
+            assert np.array_equal(X, expected)
+        for X, M in ((fold.X_train, fold.M_train), (fold.X_test, fold.M_known),
+                     (fold.X_test, fold.M_heldout)):
+            assert np.all(X[M.row_idx, M.col_idx] >= 1)
+            assert np.array_equal(M.weights, np.ones(M.nnz))
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_datasets())
+    def test_same_seed_identical_fold(self, case):
+        ds, spec = case
+        f1, f2 = _split_or_none(ds, spec), _split_or_none(ds, spec)
+        if f1 is None:
+            assert f2 is None
+            return
+        for name in ("X_train", "X_test"):
+            assert np.array_equal(getattr(f1, name), getattr(f2, name))
+        for name in ("M_train", "M_known", "M_heldout"):
+            a, b = getattr(f1, name), getattr(f2, name)
+            for field in ("row_idx", "col_idx", "weights"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert f1.skipped_test_users == f2.skipped_test_users
 
 
 class TestEvaluateFold:
@@ -135,6 +297,13 @@ class TestEvaluateFold:
                     M_known=known, M_heldout=held, num_items=3)
         with pytest.raises(ValueError, match="leaked"):
             evaluate_fold(fold, "bssmf", SolverConfig(rank=1, max_outer=1))
+
+    def test_unknown_variant_rejected(self):
+        rng = np.random.default_rng(10)
+        ds, _, _ = synthetic_ratings(rng, num_users=10, num_items=8, per_user=6)
+        fold = split(ds, SplitSpec(test_user_count=2, min_ratings_per_item=1, seed=0))
+        with pytest.raises(ConfigError, match="unknown variant 'nfm'"):
+            evaluate_fold(fold, "nfm", SolverConfig(rank=1, max_outer=1))
 
 
 class TestSweep:

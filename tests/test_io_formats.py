@@ -69,8 +69,7 @@ class TestMatrixMarket:
 
     def test_round_trip(self, tmp_path):
         X = np.zeros((3, 4))
-        entries = [(0, 1, 1.0), (2, 3, 1.0), (1, 0, 1.0)]
-        M = ObservationMask.from_entries(3, 4, entries)
+        M = ObservationMask(3, 4, [0, 2, 1], [1, 3, 0], np.ones(3))
         X[0, 1], X[2, 3], X[1, 0] = 2.5, -1.25, 7.0
         p = tmp_path / "rt.mtx"
         write_matrix_market(p, X, M)
@@ -92,13 +91,29 @@ class TestMatrixMarket:
         with pytest.raises(DataFormatError, match="duplicate"):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize("entry", ["1.5 1 3.0", "1 x 3.0"])
+    def test_non_integer_index(self, tmp_path, entry):
+        p = tmp_path / "a.mtx"
+        p.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5.0\n{entry}\n")
+        with pytest.raises(DataFormatError, match="non-integer index on entry line 2"):
+            read_matrix_market(p)
+
+    def test_entries_in_file_order_scattered(self, tmp_path):
+        p = tmp_path / "a.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 3 3\n2 3 6.0\n1 2 4.0\n2 1 5.0\n")
+        X, M = read_matrix_market(p)
+        assert np.array_equal(X, [[0, 4, 0], [5, 0, 6]])
+        assert np.array_equal(M.row_idx, [1, 0, 1]) and np.array_equal(M.col_idx, [0, 1, 2])
+
 
 class TestMovieLens:
     def test_dat_line(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("1::10::5::978300760\n")
         ds = read_movielens(p, "dat")
-        assert ds.ratings == [(0, 0, 5.0, 978300760)]
+        assert ds.users.tolist() == [0] and ds.items.tolist() == [0]
+        assert ds.values.tolist() == [5.0]
         assert ds.num_users == 1 and ds.num_items == 1
 
     def test_tsv(self, tmp_path):
@@ -111,9 +126,8 @@ class TestMovieLens:
         p = tmp_path / "r.dat"
         p.write_text("7::100::5::1\n9::100::3::2\n7::200::2::3\n")
         ds = read_movielens(p, "dat")
-        users = {u for u, _, _, _ in ds.ratings}
-        items = {i for _, i, _, _ in ds.ratings}
-        assert users == {0, 1} and items == {0, 1}
+        assert ds.users.tolist() == [0, 1, 0] and ds.items.tolist() == [0, 0, 1]
+        assert ds.user_map == {"7": 0, "9": 1} and ds.item_map == {"100": 0, "200": 1}
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "r.dat"
@@ -126,7 +140,19 @@ class TestMovieLens:
         p.write_text("1::10::9::1\n")
         with pytest.warns(UserWarning, match="outside"):
             ds = read_movielens(p, "dat")
-        assert ds.ratings[0][2] == 9.0
+        assert ds.values.tolist() == [9.0]
+
+    def test_non_integer_timestamp_located(self, tmp_path):
+        p = tmp_path / "u.data"
+        p.write_text("1\t10\t5\t978300760\n1\t11\t5\tabc\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            read_movielens(p, "tsv")
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        p = tmp_path / "r.dat"
+        p.write_text("7::100::5::1\n9::100::3::2\n7::100::2::3\n")
+        with pytest.raises(DataFormatError, match="duplicate rating for user 7, item 100"):
+            read_movielens(p, "dat")
 
 
 class TestWriteFactors:

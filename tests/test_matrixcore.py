@@ -41,7 +41,7 @@ class TestMaskedResidual:
 
     def test_empty_mask(self):
         X = np.ones((3, 3))
-        M = ObservationMask.from_entries(3, 3, [])
+        M = ObservationMask(3, 3)
         R = masked_residual(X, np.ones((3, 2)), np.ones((2, 3)), M)
         assert R.nnz == 0
         assert objective(X, np.ones((3, 2)), np.ones((2, 3)), M) == 0.0
@@ -103,7 +103,7 @@ class TestGradients:
         assert np.allclose(gradient_H(X, W, H, M), 0, atol=1e-13)
 
     def test_empty_mask_zero(self):
-        M = ObservationMask.from_entries(4, 3, [])
+        M = ObservationMask(4, 3)
         G = gradient_W(np.ones((4, 3)), np.ones((4, 2)), np.ones((2, 3)), M)
         assert np.array_equal(G, np.zeros((4, 2)))
 
@@ -164,15 +164,15 @@ class TestSpectralNorm:
 class TestMask:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ObservationMask.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 0.5)])
+            ObservationMask(2, 2, [0, 0], [0, 0], [1.0, 0.5])
 
     def test_weight_range(self):
         with pytest.raises(ValueError):
-            ObservationMask.from_entries(2, 2, [(0, 0, 1.5)])
+            ObservationMask(2, 2, [0], [0], [1.5])
         with pytest.raises(ValueError):
-            ObservationMask.from_entries(2, 2, [(0, 0, 0.0)])
+            ObservationMask(2, 2, [0], [0], [0.0])
         with pytest.raises(ValueError):
-            ObservationMask.from_entries(2, 2, [(0, 0, np.nan)])
+            ObservationMask(2, 2, [0], [0], [np.nan])
 
     def test_full_sentinel(self):
         M = ObservationMask.full(3, 4)

@@ -36,13 +36,13 @@ class TestInferBounds:
 
     def test_masked(self):
         X = np.array([[1.0, 100.0], [2.0, 3.0]])
-        M = ObservationMask.from_entries(2, 2, [(0, 0, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+        M = ObservationMask(2, 2, [0, 1, 1], [0, 0, 1], np.ones(3))
         b = infer_bounds(X, M)
         assert b.lower[0] == b.upper[0] == 1.0  # the 100 is unobserved
 
     def test_unobserved_row_error(self):
         X = np.ones((2, 2))
-        M = ObservationMask.from_entries(2, 2, [(0, 0, 1.0)])
+        M = ObservationMask(2, 2, [0], [0], [1.0])
         with pytest.raises(ValueError, match="row 1"):
             infer_bounds(X, M)
 
@@ -152,7 +152,7 @@ class TestCenter:
 
     def test_masked_mean(self):
         X = np.array([[1.0, 100.0], [5.0, 100.0]])
-        M = ObservationMask.from_entries(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
+        M = ObservationMask(2, 2, [0, 1], [0, 0], np.ones(2))
         _, c, _ = center(X, M)
         assert c == 3.0
 
@@ -163,6 +163,6 @@ class TestCenter:
         assert np.allclose(uncenter(Xp, rec), X, rtol=1e-12)
 
     def test_empty_mask_error(self):
-        M = ObservationMask.from_entries(2, 2, [])
+        M = ObservationMask(2, 2)
         with pytest.raises(ValueError):
             center(np.ones((2, 2)), M)

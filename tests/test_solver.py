@@ -47,6 +47,22 @@ def palm_reference(X, M, variant, config):
     return W, H
 
 
+class TestModelVariant:
+    def test_from_kind_matches_named_constructors(self):
+        bounds = BoundsVector.constant(4, 1, 5)
+        assert ModelVariant.from_kind("bssmf", bounds) == ModelVariant.bssmf(bounds)
+        for kind, make in (("nmf", ModelVariant.nmf), ("mf", ModelVariant.mf)):
+            var = ModelVariant.from_kind(kind, bounds)
+            ref = make(4)
+            assert var.kind == kind
+            assert np.array_equal(var.bounds.lower, ref.bounds.lower)
+            assert np.array_equal(var.bounds.upper, ref.bounds.upper)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown variant 'nfm'"):
+            ModelVariant.from_kind("nfm", BoundsVector.constant(4, 1, 5))
+
+
 class TestInitialize:
     def test_deterministic(self):
         X = np.random.default_rng(0).uniform(size=(6, 5))
@@ -150,7 +166,7 @@ class TestSolve:
     def test_empty_mask_returns_init(self):
         X = np.ones((4, 4))
         var = ModelVariant.nmf(4)
-        M = ObservationMask.from_entries(4, 4, [])
+        M = ObservationMask(4, 4)
         f, rep = solve(X, M, var, SolverConfig(rank=2, seed=0))
         assert rep.objective_trace == [0.0]
 
@@ -194,8 +210,10 @@ class TestSolve:
         rng = np.random.default_rng(15)
         X = rng.uniform(size=(5, 4))
         X[1, 2] = np.nan
-        cells = [(i, j, 1.0) for i in range(5) for j in range(4) if (i, j) != (1, 2)]
-        M = ObservationMask.from_entries(5, 4, cells)
+        observed = np.ones((5, 4), dtype=bool)
+        observed[1, 2] = False
+        ri, ci = np.nonzero(observed)
+        M = ObservationMask(5, 4, ri, ci, np.ones(ri.size))
         var = ModelVariant.bssmf(BoundsVector.constant(5, 0, 1))
         cfg = SolverConfig(rank=2, max_outer=5, rel_tol=0.0, seed=0)
         f, rep = solver(X, M, var, cfg)
