@@ -96,7 +96,7 @@ def cmd_factorize(args):
 
 def cmd_complete(args):
     try:
-        dataset = iof.read_movielens(args.ratings_file, args.flavor)
+        dataset = iof.read_movielens(args.ratings, args.flavor)
     except (OSError, iof.DataFormatError) as e:
         return _fail(EXIT_IO, e)
     try:
@@ -108,7 +108,7 @@ def cmd_complete(args):
         )
         reports = ev.overfitting_sweep(
             dataset, spec, ranks, [args.variant], list(range(args.seeds)),
-            center=args.center, dataset_name=args.ratings_file,
+            center=args.center, dataset_name=args.ratings,
         )
     except (ValueError, sv.ConfigError) as e:
         return _fail(EXIT_CONFIG, e)
@@ -197,14 +197,12 @@ def cmd_center_demo(args):
     try:
         bounds = prep.infer_bounds(X, M)
         offset = float(np.mean((bounds.upper - bounds.lower) / 2.0))
-        scenarios = {
-            "plain": (X, bounds),
-            "centered": None,  # handled through solve_centered
-            "uneven": (X + offset,
-                       BoundsVector(bounds.lower + offset, bounds.upper + offset)),
-        }
+        uneven = (X + offset, BoundsVector(bounds.lower + offset, bounds.upper + offset))
+        # "centered" runs solve_centered on the plain data
+        scenarios = {"plain": (X, bounds), "centered": (X, bounds), "uneven": uneven}
         series = {}
-        for mode in ("plain", "centered", "uneven"):
+        for mode, (Xm, bm) in scenarios.items():
+            solve = sv.solve_centered if mode == "centered" else sv.solve
             for extrap, label in ((True, "alg1"), (False, "bcd")):
                 traces = []
                 for seed in range(args.seeds):
@@ -213,21 +211,12 @@ def cmd_center_demo(args):
                         max_inner_W=args.inner, max_inner_H=args.inner,
                         rel_tol=0.0, extrapolate=extrap, seed=seed,
                     )
-                    if mode == "centered":
-                        variant = sv.ModelVariant.bssmf(bounds)
-                        _, rep = sv.solve_centered(X, M, variant, config)
-                    else:
-                        Xm, bm = scenarios[mode]
-                        variant = sv.ModelVariant.bssmf(bm)
-                        _, rep = sv.solve(Xm, M, variant, config)
+                    _, rep = solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
                     traces.append(rep.objective_trace)
-                series[f"{mode}_{label}"] = np.mean(
-                    np.asarray([t[: args.outer + 1] for t in traces]), axis=0
-                )
+                series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     except (ValueError, sv.ConfigError) as e:
         return _fail(EXIT_CONFIG, e)
-    cols = ["plain_alg1", "plain_bcd", "centered_alg1", "centered_bcd",
-            "uneven_alg1", "uneven_bcd"]
+    cols = list(series)  # plain, centered, uneven; alg1 before bcd in each
     try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("iteration," + ",".join(cols) + "\n")
@@ -262,7 +251,7 @@ def build_parser():
     f.set_defaults(func=cmd_factorize)
 
     c = sub.add_parser("complete", help="matrix-completion evaluation on ratings")
-    c.add_argument("--ratings", required=True, dest="ratings_file")
+    c.add_argument("--ratings", required=True)
     c.add_argument("--flavor", choices=["dat", "tsv"], required=True)
     c.add_argument("--rank", required=True, help="single rank or comma list")
     c.add_argument("--variant", choices=["bssmf", "nmf", "mf"], default="bssmf")

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .evaluation import RatingsDataset
-from .matrixcore import ObservationMask
+from .matrixcore import DuplicateCellError, ObservationMask
 
 
 class DataFormatError(ValueError):
@@ -98,6 +98,8 @@ def read_matrix_market(path):
             cols.append(j - 1)
     try:
         M = ObservationMask(m, n, rows, cols, np.ones(len(vals)))
+    except DuplicateCellError as e:
+        raise DataFormatError(f"{path}: duplicate entry ({e.row + 1}, {e.col + 1})") from None
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
     X = np.zeros((m, n))

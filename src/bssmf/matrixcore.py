@@ -9,6 +9,14 @@ class ShapeError(ValueError):
     """Raised when matrix dimensions are incompatible."""
 
 
+class DuplicateCellError(ValueError):
+    """Raised when a mask lists a cell twice; row and col are 0-based."""
+
+    def __init__(self, row, col):
+        super().__init__(f"duplicate cell in mask at 0-based (row, col) = ({row}, {col})")
+        self.row, self.col = row, col
+
+
 class ObservationMask:
     """Per-entry observation weights in (0, 1]; unlisted cells are missing (weight 0).
 
@@ -47,7 +55,7 @@ class ObservationMask:
         dup = np.flatnonzero(key[1:] == key[:-1])
         if dup.size:
             col, row = divmod(int(key[dup[0]]), rows)
-            raise ValueError(f"duplicate cell in mask at 0-based (row, col) = ({row}, {col})")
+            raise DuplicateCellError(row, col)
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         self.weights = weights[order]

@@ -37,6 +37,7 @@ from bssmf.preprocessing import rescale_rows_to_unit, unrescale_rows
 from bssmf.projections import simplex_projection_oracle
 from bssmf.evaluation import SplitSpec, evaluate_fold, split
 from bssmf.io_formats import read_movielens
+from bssmf import solver as solver_module
 from bssmf.solver import predict_cells
 
 from conftest import EXAMPLE_H, EXAMPLE_W, EXAMPLE_X
@@ -199,35 +200,52 @@ def test_04_bcd_descent():
     _verdict(4, "bcd-descent", ok)
 
 
-def test_05_feasibility_every_iteration():
+def test_05_feasibility_every_iteration(monkeypatch):
     failures = []
+    current = {}
+
+    def check_W(W):
+        bounds = current["bounds"]
+        if np.any(W < bounds.lower[:, None]) or np.any(W > bounds.upper[:, None]):
+            failures.append((current["seed"], "W bounds"))
+
+    def check_H(H):
+        if np.any(H < 0):
+            failures.append((current["seed"], "H negative"))
+        if np.max(np.abs(H.sum(axis=0) - 1.0)) > 1e-10:
+            failures.append((current["seed"], "H column sums"))
+
+    # solve looks the block updates up by global name, so wrapping them
+    # checks the W and H the solver keeps after every outer pass; the count
+    # makes sure solve went through them at all
+    update_W, update_H = solver_module.update_W_block, solver_module.update_H_block
+
+    def checked_update_W(*args):
+        W, W_old = update_W(*args)
+        current["updates"] += 1
+        check_W(W)
+        return W, W_old
+
+    def checked_update_H(*args):
+        H, H_old = update_H(*args)
+        current["updates"] += 1
+        check_H(H)
+        return H, H_old
+
+    monkeypatch.setattr(solver_module, "update_W_block", checked_update_W)
+    monkeypatch.setattr(solver_module, "update_H_block", checked_update_H)
 
     for X, mask, bounds, r, seed in _random_instances():
+        current.update(bounds=bounds, seed=seed, updates=0)
         variant = ModelVariant.bssmf(bounds)
         config = SolverConfig(rank=r, max_outer=40, max_inner_W=3,
                               max_inner_H=3, rel_tol=0.0, seed=seed,
                               record_trace=False)
-        project_W, project_H = variant.project_W, variant.project_H
-
-        # every W and H the solver keeps comes out of the variant's
-        # projections, so checking each projection's output checks every
-        # inner and outer iterate
-        def checked_W(W):
-            W = project_W(W)
-            if np.any(W < bounds.lower[:, None]) or np.any(W > bounds.upper[:, None]):
-                failures.append((seed, "W bounds"))
-            return W
-
-        def checked_H(H):
-            H = project_H(H)
-            if np.any(H < 0):
-                failures.append((seed, "H negative"))
-            if np.max(np.abs(H.sum(axis=0) - 1.0)) > 1e-10:
-                failures.append((seed, "H column sums"))
-            return H
-
-        variant.project_W, variant.project_H = checked_W, checked_H
         factors, _ = solve(X, mask, variant, config)
+        if current["updates"] != 2 * config.max_outer:
+            failures.append((seed, "block updates bypassed"))
+        check_W(factors.W)
+        check_H(factors.H)
         if mask.is_full:
             rows, cols = np.indices(X.shape)
             rows, cols = rows.ravel(), cols.ravel()

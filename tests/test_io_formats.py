@@ -86,9 +86,10 @@ class TestMatrixMarket:
     def test_duplicate_entry(self, tmp_path):
         p = tmp_path / "a.mtx"
         p.write_text(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5.0\n1 1 2.0\n"
+            "%%MatrixMarket matrix coordinate real general\n2 3 3\n2 3 5.0\n1 1 1.0\n2 3 2.0\n"
         )
-        with pytest.raises(DataFormatError, match="duplicate"):
+        # named by the file's own 1-based indices, like the other reader errors
+        with pytest.raises(DataFormatError, match=r"duplicate entry \(2, 3\)"):
             read_matrix_market(p)
 
     @pytest.mark.parametrize("entry", ["1.5 1 3.0", "1 x 3.0"])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bssmf.matrixcore import (
+    DuplicateCellError,
     ObservationMask,
     ShapeError,
     gradient_H,
@@ -165,6 +166,9 @@ class TestMask:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ObservationMask(2, 2, [0, 0], [0, 0], [1.0, 0.5])
+        with pytest.raises(DuplicateCellError) as err:
+            ObservationMask(3, 2, [2, 0, 2], [1, 0, 1], [1.0, 1.0, 1.0])
+        assert (err.value.row, err.value.col) == (2, 1)
 
     def test_weight_range(self):
         with pytest.raises(ValueError):
