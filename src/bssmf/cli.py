@@ -61,9 +61,17 @@ def cmd_factorize(args):
         X, M = _load_matrix(args.input)
     except (OSError, iof.DataFormatError) as e:
         return _fail(EXIT_IO, e)
+    # before bounds inference, which would report NaN data as bad bounds
+    if not np.all(np.isfinite(M.observed(X))):
+        return _fail(EXIT_NUMERICAL, "X has a non-finite (NaN or inf) observed entry")
     try:
         bounds = _parse_bounds(args.bounds, X, M)
         variant = sv.ModelVariant.from_kind(args.variant, bounds)
+    except (OSError, iof.DataFormatError) as e:
+        return _fail(EXIT_IO, e)
+    except ValueError as e:
+        return _fail(EXIT_CONFIG, e)
+    try:
         seeds = range(args.seed, args.seed + args.seed_sweep)
         best = None
         for seed in seeds:

@@ -153,17 +153,18 @@ def rmse(predictions, truths):
 
 
 def solve_h_given_w(X, M, W, variant, config):
-    """Fit only the H block against a frozen W (test-time adaptation)."""
+    """Fit only the H block against a frozen W (test-time adaptation).
+
+    W never changes, so the max_outer passes of max_inner_H steps are one
+    block of max_outer * max_inner_H steps with one gradient build.
+    """
     r = W.shape[1]
     rng = np.random.default_rng(config.seed)
     H = variant.project_H(rng.uniform(size=(r, X.shape[1])))
-    H_old = H
     floor = sv._lipschitz_floor(X, M)
     state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
-    for _ in range(config.max_outer):
-        H, H_old = sv.update_H_block(
-            X, W, H, M, variant, state, H_old, config.max_inner_H, config.extrapolate
-        )
+    H, _ = sv.update_H_block(X, W, H, M, variant, state, H,
+                             config.max_outer * config.max_inner_H, config.extrapolate)
     return H
 
 

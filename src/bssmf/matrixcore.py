@@ -1,5 +1,13 @@
 """Observation masks and the kernels over them: masked residuals, objective,
-gradients, spectral norm."""
+gradients, spectral norm.
+
+While one factor is frozen for a block of inner steps, :func:`block_gradient`
+does the work that depends on it only once: the Gram matrix and data product
+of the frozen factor for a full mask, its rows gathered at the observed cells
+for a sparse mask. The objective is not computed in that Gram form
+(0.5||X||^2 - <X, WH> + 0.5<W^T W, HH^T>): near an exact fit its terms cancel,
+and the stopping test and exact-recovery checks need the small residual.
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +43,7 @@ class ObservationMask:
         self.cols = int(cols)
         self._full = _full
         if _full:
-            self.row_idx = self.col_idx = self.weights = self._pattern = None
+            self.row_idx = self.col_idx = self.weights = self._flat = self._pattern = None
             return
         row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
         col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
@@ -59,6 +67,7 @@ class ObservationMask:
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         self.weights = weights[order]
+        self._flat = self.row_idx * cols + self.col_idx  # row-major offsets
         indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
         self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
 
@@ -77,7 +86,13 @@ class ObservationMask:
     def observed(self, A):
         """Entries of the rows x cols array A at observed cells: A itself for a
         full mask (no copy), else a 1-D array in canonical order."""
-        return A if self._full else A[self.row_idx, self.col_idx]
+        if self._full:
+            return A
+        if A.shape != (self.rows, self.cols):
+            raise ShapeError(f"array shape {A.shape} != mask shape {self.rows}x{self.cols}")
+        if A.flags.c_contiguous:  # a flat gather is about 2.5x faster
+            return np.take(A, self._flat)
+        return A[self.row_idx, self.col_idx]
 
     def row_extrema(self, A):
         """Per-row (min, max) of A over observed cells; (inf, -inf) for a row
@@ -102,24 +117,34 @@ def _check_dims(X, W, H, M):
         raise ShapeError(f"mask shape {M.rows}x{M.cols} != data shape {m}x{n}")
 
 
+def _take_rows(A, idx):
+    """Rows idx of A, gathered from a C-contiguous copy (a no-op copy when A
+    already is one); much faster than fancy-indexing a strided view."""
+    return np.take(np.ascontiguousarray(A), idx, axis=0)
+
+
+def _row_dots(A, B):
+    """Dot product of each row of A with the same row of B."""
+    return np.einsum("ij,ij->i", A, B)
+
+
 def product_at(W, H, row_idx, col_idx):
     """(WH)(i, j) evaluated only at the listed cells."""
-    return np.einsum("ij,ij->i", W[row_idx, :], H[:, col_idx].T)
+    return _row_dots(_take_rows(W, row_idx), _take_rows(H.T, col_idx))
 
 
-def _residual(X, W, H, M, power, as_matrix=True):
-    """M^power o (X - WH) at observed cells.
-
-    Full mask: dense ndarray (weights are all 1). Sparse mask: CSC matrix on
-    the mask's pattern, or with as_matrix=False the 1-D values in canonical
-    order. The dense product WH is never formed for a sparse mask.
-    """
+def _residual(X, W, H, M):
+    """M o (X - WH) at observed cells: a dense ndarray for a full mask
+    (weights are all 1), else the 1-D values in canonical order. The dense
+    product WH is never formed for a sparse mask."""
     _check_dims(X, W, H, M)
     if M.is_full:
         return X - W @ H
-    vals = M.weights**power * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
-    if not as_matrix:
-        return vals
+    return M.weights * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
+
+
+def _on_pattern(M, vals):
+    """CSC matrix with the values vals (canonical order) on M's cells."""
     P = M._pattern
     return sp.csc_matrix((vals, P.indices, P.indptr), shape=P.shape)
 
@@ -131,7 +156,8 @@ def masked_residual(X, W, H, M):
     residual only at observed cells, stored in the mask's canonical
     column-major order.
     """
-    return _residual(X, W, H, M, 1)
+    R = _residual(X, W, H, M)
+    return R if M.is_full else _on_pattern(M, R)
 
 
 def objective(X, W, H, M):
@@ -140,18 +166,76 @@ def objective(X, W, H, M):
     A sparse mask sums its residual vector in canonical column-major order,
     so the result does not depend on the order the cells were given in.
     """
-    R = _residual(X, W, H, M, 1, as_matrix=False)
+    R = _residual(X, W, H, M)
     return 0.5 * float(np.sum(np.square(R), dtype=np.float64))
+
+
+def block_gradient(X, F, M, side):
+    """Gradient of the masked objective in one factor while the other, F,
+    stays frozen, as a function of the free factor.
+
+    side="W": F is H and the result maps W to -(MoMo(X-WH)) H^T.
+    side="H": F is W and the result maps H to -W^T (MoMo(X-WH)).
+    Everything that depends only on F is computed here, once per block. A
+    full mask precomputes the Gram matrix and the data product (HH^T and
+    XH^T, or W^TW and W^TX), so each gradient costs O(mr^2) or O(nr^2) and
+    forms no m x n residual. A sparse mask gathers F once at the observed
+    cells and each gradient gathers only the free factor; only the values
+    of one CSC matrix on the mask's pattern change between calls.
+    """
+    if side not in ("W", "H"):
+        raise ValueError(f"side must be 'W' or 'H', got {side!r}")
+    X = np.asarray(X)
+    m, n = X.shape
+    if side == "W":
+        fits, free_shape = F.shape[1] == n, (m, F.shape[0])
+    else:
+        fits, free_shape = F.shape[0] == m, (F.shape[1], n)
+    if not fits or (M.rows, M.cols) != (m, n):
+        raise ShapeError(f"incompatible shapes X{X.shape}, frozen factor {F.shape}, "
+                         f"mask {M.rows}x{M.cols}")
+
+    if M.is_full:
+        if side == "W":
+            G, XFt = F @ F.T, X @ F.T
+            grad = lambda W: W @ G - XFt
+        else:
+            G, FtX = F.T @ F, F.T @ X
+            grad = lambda H: G @ H - FtX
+    else:
+        x, w2 = M.observed(X), M.weights**2
+        R = _on_pattern(M, np.empty_like(w2))
+        if side == "W":
+            Ft = np.ascontiguousarray(F.T)
+            F_at = np.take(Ft, M.col_idx, axis=0)
+
+            def grad(W):
+                R.data = w2 * (_row_dots(_take_rows(W, M.row_idx), F_at) - x)
+                return R @ Ft
+        else:
+            F_at = _take_rows(F, M.row_idx)
+            R = R.T  # CSR on the transposed pattern
+
+            def grad(H):
+                R.data = w2 * (_row_dots(F_at, _take_rows(H.T, M.col_idx)) - x)
+                return (R @ F).T
+
+    def gradient(A):
+        if A.shape != free_shape:
+            raise ShapeError(f"free factor {side} must be {free_shape}, got {A.shape}")
+        return grad(A)
+
+    return gradient
 
 
 def gradient_W(X, W, H, M):
     """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T."""
-    return -np.asarray(_residual(X, W, H, M, 2) @ H.T)
+    return block_gradient(X, H, M, "W")(W)
 
 
 def gradient_H(X, W, H, M):
     """Gradient of the masked objective w.r.t. H: -W^T (MoMo(X-WH))."""
-    return -np.asarray(W.T @ _residual(X, W, H, M, 2))
+    return block_gradient(X, W, M, "H")(H)
 
 
 def spectral_norm(A):

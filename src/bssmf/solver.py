@@ -168,12 +168,12 @@ def _block_step(F, F_old, gradient, project, state, n_inner, extrapolate):
 
 
 def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate):
-    return _block_step(W, W_old, lambda Wb: mc.gradient_W(X, Wb, H, M),
+    return _block_step(W, W_old, mc.block_gradient(X, H, M, "W"),
                        variant.project_W, state, n_inner, extrapolate)
 
 
 def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
-    return _block_step(H, H_old, lambda Hb: mc.gradient_H(X, W, Hb, M),
+    return _block_step(H, H_old, mc.block_gradient(X, W, M, "H"),
                        variant.project_H, state, n_inner, extrapolate)
 
 
@@ -181,7 +181,9 @@ def solve(X, M, variant, config, objective_fn=None):
     """Run the block-coordinate solver; returns (FactorPair, SolveReport).
 
     objective_fn(W, H) overrides the recorded objective (used by the centered
-    solve to report objectives in original coordinates).
+    solve to report objectives in original coordinates). With rel_tol == 0
+    and record_trace off, only the first and last objectives are kept, so
+    only those two are computed.
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
@@ -205,6 +207,7 @@ def solve(X, M, variant, config, objective_fn=None):
     sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
     sh = _BlockState(max(mc.spectral_norm(W.T @ W), floor))
 
+    every_pass = config.record_trace or config.rel_tol > 0
     trace = [objective_fn(W, H)]
     ltrace = []
     stop = "max_iters"
@@ -218,13 +221,17 @@ def solve(X, M, variant, config, objective_fn=None):
             X, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
         )
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
-        trace.append(objective_fn(W, H))
         ltrace.append((sw.L, sh.L))
+        if not every_pass:
+            continue
+        trace.append(objective_fn(W, H))
         if config.rel_tol > 0 and len(trace) > 10:
             f_then, f_now = trace[-11], trace[-1]
             if f_then - f_now < config.rel_tol * max(f_then, 1e-300):
                 stop = "tol_reached"
                 break
+    if not every_pass:
+        trace.append(objective_fn(W, H))
 
     report.objective_trace = trace if config.record_trace else [trace[0], trace[-1]]
     report.outer_iterations = outer

@@ -66,6 +66,35 @@ class TestFactorize:
         ]) == EXIT_NUMERICAL
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["0:3", "infer"])
+    def test_nonfinite_entry_exit_with_any_bounds(self, monkeypatch, capsys, bounds):
+        X = EXAMPLE_X / 4.0
+        X[2, 3] = np.nan
+        monkeypatch.setattr(cli, "_load_matrix",
+                            lambda path: (X, cli.ObservationMask.full(*X.shape)))
+        assert main(["factorize", "--input", "X.csv", "--rank", "2",
+                     "--bounds", bounds]) == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_malformed_bounds_exit(self, example_csv, capsys):
+        assert main(["factorize", "--input", example_csv, "--rank", "2",
+                     "--bounds", "0:abc"]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_bounds_file_row_count_exit(self, tmp_path, example_csv, capsys):
+        p = tmp_path / "bounds.csv"
+        write_dense_csv(p, np.array([[0.0, 3.0]] * (EXAMPLE_X.shape[0] - 1)))
+        assert main(["factorize", "--input", example_csv, "--rank", "2",
+                     "--bounds", str(p)]) == EXIT_CONFIG
+        assert "rows of two columns" in capsys.readouterr().err
+
+    def test_missing_bounds_file_exit(self, tmp_path, example_csv, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["factorize", "--input", example_csv, "--rank", "2",
+                     "--bounds", missing]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.csv" in err
+
     def test_io_error_exit(self):
         assert main([
             "factorize", "--input", "/nonexistent.csv", "--rank", "2",

@@ -349,3 +349,28 @@ class TestSolveHGivenW:
         M = ObservationMask.full(12, 8)
         H_fit = solve_h_given_w(X, M, W, var, cfg)
         assert np.allclose(W @ H_fit, X, atol=1e-5)
+
+    def test_single_block_matches_per_pass_loop(self):
+        # W is frozen, so one block of max_outer * max_inner_H steps gives the
+        # iterates of max_outer passes that carry the momentum state over
+        from bssmf import matrixcore as mc
+        from bssmf import solver as sv
+        from bssmf.projections import BoundsVector
+        rng = np.random.default_rng(10)
+        ds, _, _ = synthetic_ratings(rng, num_users=30, num_items=20, noise=0.1)
+        fold = split(ds, SplitSpec(test_user_count=8, known_fraction=0.6,
+                                   min_ratings_per_item=1, seed=3))
+        X, M = fold.X_test, fold.M_known
+        W = rng.uniform(1, 5, size=(X.shape[0], 3))
+        var = sv.ModelVariant.bssmf(BoundsVector.constant(X.shape[0], 1, 5))
+        cfg = SolverConfig(rank=3, max_outer=7, max_inner_H=2, seed=4)
+
+        H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, X.shape[1])))
+        H_old = H
+        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._lipschitz_floor(X, M)))
+        for _ in range(cfg.max_outer):
+            H, H_old = sv.update_H_block(X, W, H, M, var, state, H_old,
+                                         cfg.max_inner_H, cfg.extrapolate)
+
+        assert not M.is_full and M.nnz < X.size
+        assert np.array_equal(solve_h_given_w(X, M, W, var, cfg), H)

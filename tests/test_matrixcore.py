@@ -7,10 +7,12 @@ from bssmf.matrixcore import (
     DuplicateCellError,
     ObservationMask,
     ShapeError,
+    block_gradient,
     gradient_H,
     gradient_W,
     masked_residual,
     objective,
+    product_at,
     spectral_norm,
 )
 
@@ -249,6 +251,18 @@ class TestCanonicalMask:
             assert lo[i] == (min(vals) if vals else np.inf)
             assert hi[i] == (max(vals) if vals else -np.inf)
 
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_observed_any_memory_layout(self, problem):
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        X, _, _ = _factors(seed, m, n)
+        want = np.array([X[i, j] for i, j in zip(M.row_idx, M.col_idx)])
+        for A in (X, np.asfortranarray(X), np.ascontiguousarray(X.T).T):
+            assert np.array_equal(M.observed(A), want)
+        with pytest.raises(ShapeError):
+            M.observed(np.zeros((m, n + 1)))
+
     @given(st.integers(1, 6), st.integers(1, 6))
     def test_full_mask_observed_is_no_copy(self, m, n):
         X = np.arange(float(m * n)).reshape(m, n)
@@ -256,3 +270,85 @@ class TestCanonicalMask:
         assert M.observed(X) is X and np.shares_memory(M.observed(X), X)
         lo, hi = M.row_extrema(X)
         assert np.array_equal(lo, X[:, 0]) and np.array_equal(hi, X[:, -1])
+
+
+def loop_gradients(X, W, H, M):
+    """Independent oracle: -(MoMo(X-WH)) H^T and -W^T (MoMo(X-WH)), with the
+    weighted residual filled into zeros one observed cell at a time."""
+    m, n = X.shape
+    if M.is_full:
+        rows, cols = np.divmod(np.arange(m * n), n)
+        weights = np.ones(m * n)
+    else:
+        rows, cols, weights = M.row_idx, M.col_idx, M.weights
+    S = np.zeros((m, n))
+    for i, j, w in zip(rows, cols, weights):
+        S[i, j] = w * w * (X[i, j] - W[i, :] @ H[:, j])
+    return -S @ H.T, -W.T @ S
+
+
+@st.composite
+def gradient_problems(draw):
+    """A full or sparse weighted mask, a rank and a seed for the data, the
+    frozen factors and three free-factor points."""
+    m, n, rows, cols, w, _, seed = draw(masked_problems())
+    full = draw(st.booleans())
+    M = ObservationMask.full(m, n) if full else ObservationMask(m, n, rows, cols, w)
+    return M, draw(st.integers(1, 5)), seed
+
+
+class TestBlockGradient:
+    @settings(max_examples=80, deadline=None)
+    @given(gradient_problems())
+    def test_matches_loop_oracle_at_several_points(self, problem):
+        M, r, seed = problem
+        rng = np.random.default_rng(seed)
+        m, n = M.rows, M.cols
+        X = rng.uniform(-2, 2, size=(m, n))
+        W0, H0 = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        grad_W = block_gradient(X, H0, M, "W")
+        grad_H = block_gradient(X, W0, M, "H")
+        Ws = [rng.uniform(-1, 1, size=(m, r)) for _ in range(3)]
+        Hs = [rng.uniform(-1, 1, size=(r, n)) for _ in range(3)]
+        first_W, first_H = grad_W(Ws[0]), grad_H(Hs[0])
+        for W, H in zip(Ws, Hs):
+            want_W = loop_gradients(X, W, H0, M)[0]
+            want_H = loop_gradients(X, W0, H, M)[1]
+            assert grad_W(W) == pytest.approx(want_W, rel=1e-12, abs=1e-13)
+            assert grad_H(H) == pytest.approx(want_H, rel=1e-12, abs=1e-13)
+        # the cached work is not disturbed by later calls
+        assert np.array_equal(grad_W(Ws[0]), first_W)
+        assert np.array_equal(grad_H(Hs[0]), first_H)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gradient_problems())
+    def test_gradient_functions_use_one_build(self, problem):
+        M, r, seed = problem
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(M.rows, M.cols))
+        W, H = rng.uniform(size=(M.rows, r)), rng.uniform(size=(r, M.cols))
+        assert np.array_equal(gradient_W(X, W, H, M), block_gradient(X, H, M, "W")(W))
+        assert np.array_equal(gradient_H(X, W, H, M), block_gradient(X, W, M, "H")(H))
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems(), st.integers(1, 5))
+    def test_product_at_matches_dense_product(self, problem, r):
+        m, n, rows, cols, _, _, seed = problem
+        rng = np.random.default_rng(seed)
+        A, B = rng.uniform(-1, 1, size=(r, m)), rng.uniform(-1, 1, size=(n, r))
+        for W, H in ((A.T, B.T), (np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))):
+            want = (W @ H)[rows, cols]
+            assert product_at(W, H, rows, cols) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_rejects_bad_side_and_shapes(self):
+        X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
+        with pytest.raises(ValueError, match="side"):
+            block_gradient(X, np.ones((2, 3)), M, "V")
+        with pytest.raises(ShapeError):
+            block_gradient(X, np.ones((2, 4)), M, "W")
+        with pytest.raises(ShapeError):
+            block_gradient(X, np.ones((3, 2)), M, "H")
+        with pytest.raises(ShapeError):
+            block_gradient(X, np.ones((2, 3)), ObservationMask.full(4, 4), "W")
+        with pytest.raises(ShapeError):
+            block_gradient(X, np.ones((2, 3)), M, "W")(np.ones((4, 3)))

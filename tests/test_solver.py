@@ -295,6 +295,45 @@ class TestExtrapolationBenefit:
         assert wins >= 8
 
 
+class TestObjectiveEvaluations:
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(15)
+        X = rng.uniform(1, 5, size=(9, 7))
+        return X, random_mask(rng, 9, 7, density=0.7, weighted=True), \
+            ModelVariant.bssmf(BoundsVector.constant(9, 1, 5))
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    @pytest.mark.parametrize("rel_tol, record_trace, calls", [
+        (0.0, False, 2), (0.0, True, 6), (1e-3, False, 6), (1e-3, True, 6)])
+    def test_objective_call_count(self, monkeypatch, solver, rel_tol, record_trace, calls):
+        from bssmf import matrixcore as mc
+        counted = []
+        inner = mc.objective
+
+        def counting(*args):
+            counted.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(mc, "objective", counting)
+        X, M, var = self._problem()
+        cfg = SolverConfig(rank=2, max_outer=5, rel_tol=rel_tol,
+                           record_trace=record_trace, seed=2)
+        _, rep = solver(X, M, var, cfg)
+        assert rep.outer_iterations == 5
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_untracked_trace_is_first_and_last(self, solver):
+        X, M, var = self._problem()
+        runs = [solver(X, M, var, SolverConfig(rank=2, max_outer=12, rel_tol=0.0,
+                                               record_trace=rec, seed=2))
+                for rec in (False, True)]
+        (f_short, short), (f_full, full) = runs
+        assert short.objective_trace == [full.objective_trace[0], full.objective_trace[-1]]
+        assert np.array_equal(f_short.W, f_full.W) and np.array_equal(f_short.H, f_full.H)
+
+
 class TestPredict:
     def test_vertex_selection(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
