@@ -54,12 +54,13 @@ def read_dense_csv(path):
 
 
 def write_dense_csv(path, A, header=None):
+    """Write A one row per line, each value as %.17g (round-trips exactly)."""
     A = np.asarray(A, dtype=np.float64)
+    line = ",".join(["%.17g"] * A.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         if header:
             f.write(",".join(header) + "\n")
-        for row in A:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        f.writelines(line % tuple(row) for row in A.tolist())
 
 
 MM_BANNER = "%%MatrixMarket matrix coordinate real general"
@@ -115,8 +116,8 @@ def write_matrix_market(path, X, M):
     with open(path, "w", encoding="utf-8") as f:
         f.write(MM_BANNER + "\n")
         f.write(f"{X.shape[0]} {X.shape[1]} {vals.size}\n")
-        for i, j, v in zip(ri, ci, vals):
-            f.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        f.writelines(map("%d %d %.17g\n".__mod__,
+                         zip((ri + 1).tolist(), (ci + 1).tolist(), vals.tolist())))
 
 
 def read_movielens(path, flavor):

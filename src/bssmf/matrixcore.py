@@ -6,7 +6,9 @@ does the work that depends on it only once: the Gram matrix and data product
 of the frozen factor for a full mask, its rows gathered at the observed cells
 for a sparse mask. The objective is not computed in that Gram form
 (0.5||X||^2 - <X, WH> + 0.5<W^T W, HH^T>): near an exact fit its terms cancel,
-and the stopping test and exact-recovery checks need the small residual.
+and the stopping test and exact-recovery checks need the small residual. For a
+full mask it forms WH once and subtracts and squares in that buffer, so each
+evaluation allocates one m x n array and never writes X, W or H.
 """
 
 import numpy as np
@@ -134,12 +136,15 @@ def product_at(W, H, row_idx, col_idx):
 
 
 def _residual(X, W, H, M):
-    """M o (X - WH) at observed cells: a dense ndarray for a full mask
-    (weights are all 1), else the 1-D values in canonical order. The dense
-    product WH is never formed for a sparse mask."""
+    """M o (X - WH) at observed cells, always in a new array that the caller
+    may overwrite: a dense ndarray for a full mask (weights are all 1), else
+    the 1-D values in canonical order. A full mask subtracts in place into the
+    product WH, so one m x n array is allocated; the dense product is never
+    formed for a sparse mask."""
     _check_dims(X, W, H, M)
     if M.is_full:
-        return X - W @ H
+        R = W @ H
+        return np.subtract(X, R, out=R if R.dtype == np.result_type(X, R) else None)
     return M.weights * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
 
 
@@ -165,9 +170,10 @@ def objective(X, W, H, M):
 
     A sparse mask sums its residual vector in canonical column-major order,
     so the result does not depend on the order the cells were given in.
+    The residual is squared in place, so a full mask needs one m x n buffer.
     """
     R = _residual(X, W, H, M)
-    return 0.5 * float(np.sum(np.square(R), dtype=np.float64))
+    return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
 
 
 def block_gradient(X, F, M, side):

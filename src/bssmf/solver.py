@@ -123,20 +123,39 @@ def initialize(X, M, variant, config):
     return FactorPair(W, H)
 
 
-def _lipschitz_floor(X, M):
+def _observed_sum_of_squares(X, M):
+    """Sum of squares of the observed entries of X in one pass, with no
+    temporary. einsum, not x @ x: a BLAS dot wakes the BLAS worker threads,
+    which then spin for about 0.1 s of CPU time after returning."""
+    x = np.ravel(M.observed(X), order="K")  # no copy for a contiguous X
+    return float(np.einsum("i,i->", x, x))
+
+
+def _lipschitz_floor(X, M, sum_sq=None):
+    """Lower bound for the step constants L_W and L_H: 1e-12 times the mean
+    square of X over all m x n cells, and at least 1e-12. sum_sq, when given,
+    is the observed sum of squares already computed by _check_observed."""
     m, n = X.shape
-    sq = float(np.sum(np.square(M.observed(X))))
-    return 1e-12 * max(1.0, sq / (m * n))
+    if sum_sq is None:
+        sum_sq = _observed_sum_of_squares(X, M)
+    return 1e-12 * max(1.0, sum_sq / (m * n))
 
 
 def _check_observed(X, M, bounds=None):
-    """Raise on a non-finite observed entry; warn if one lies outside bounds."""
-    if not np.all(np.isfinite(M.observed(X))):
+    """Raise on a non-finite observed entry; warn if one lies outside bounds.
+
+    Returns the observed sum of squares. A NaN or inf entry makes that sum
+    non-finite, so the elementwise scan runs only when it is; it tells such
+    an entry from finite entries whose squares overflow.
+    """
+    sum_sq = _observed_sum_of_squares(X, M)
+    if not np.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
         raise ValueError("X has a non-finite (NaN or inf) observed entry")
     if bounds is not None:
         lo, hi = M.row_extrema(X)
         if np.any(lo < bounds.lower) or np.any(hi > bounds.upper):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
+    return sum_sq
 
 
 class _BlockState:
@@ -188,7 +207,7 @@ def solve(X, M, variant, config, objective_fn=None):
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     config.validate(m, n)
-    _check_observed(X, M, variant.bounds if variant.kind == BSSMF else None)
+    sum_sq = _check_observed(X, M, variant.bounds if variant.kind == BSSMF else None)
 
     factors = initialize(X, M, variant, config)
     if objective_fn is None:
@@ -203,7 +222,7 @@ def solve(X, M, variant, config, objective_fn=None):
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    floor = _lipschitz_floor(X, M)
+    floor = _lipschitz_floor(X, M, sum_sq)
     sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
     sh = _BlockState(max(mc.spectral_norm(W.T @ W), floor))
 

@@ -17,6 +17,53 @@ from bssmf.matrixcore import ObservationMask
 from bssmf.solver import SolverConfig
 
 
+# values whose %.17g text is easy to get wrong: signed zero, NaN, infinities,
+# a subnormal, a huge value and integer-valued entries
+AWKWARD = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 5e300],
+                    [3.0, -7.0, 1e16], [0.1, -2.2250738585072014e-309, 0.0]])
+
+
+def fstring_csv(A, header=None):
+    """Reference bytes: every value formatted on its own with an f-string."""
+    lines = [",".join(header)] if header else []
+    lines += [",".join(f"{v:.17g}" for v in row) for row in A]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def fstring_mtx(X, M):
+    """Reference bytes: one f-string per observed entry; a full mask's entries
+    in row-major order, a sparse mask's in its canonical order."""
+    m, n = X.shape
+    rows, cols = (np.divmod(np.arange(m * n), n) if M.is_full
+                  else (M.row_idx, M.col_idx))
+    body = "".join(f"{i + 1} {j + 1} {X[i, j]:.17g}\n" for i, j in zip(rows, cols))
+    return f"%%MatrixMarket matrix coordinate real general\n{m} {n} {len(rows)}\n{body}".encode()
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("header", [None, ["a", "b", "c"]])
+    def test_dense_csv_matches_per_value_formatting(self, tmp_path, header):
+        p = tmp_path / "a.csv"
+        write_dense_csv(p, AWKWARD, header=header)
+        assert p.read_bytes() == fstring_csv(AWKWARD, header)
+
+    def test_dense_csv_random_and_empty(self, tmp_path):
+        A = np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-150, 150, 100)
+        for B in (A, A[:0], np.zeros((2, 0))):
+            p = tmp_path / "b.csv"
+            write_dense_csv(p, B)
+            assert p.read_bytes() == fstring_csv(B)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_matrix_market_matches_per_entry_formatting(self, tmp_path, full):
+        m, n = AWKWARD.shape
+        M = (ObservationMask.full(m, n) if full
+             else ObservationMask(m, n, [3, 0, 1, 2, 1, 0], [2, 0, 1, 0, 0, 2], np.ones(6)))
+        p = tmp_path / "a.mtx"
+        write_matrix_market(p, AWKWARD, M)
+        assert p.read_bytes() == fstring_mtx(AWKWARD, M)
+
+
 class TestDenseCSV:
     def test_basic(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -352,3 +352,52 @@ class TestBlockGradient:
             block_gradient(X, np.ones((2, 3)), ObservationMask.full(4, 4), "W")
         with pytest.raises(ShapeError):
             block_gradient(X, np.ones((2, 3)), M, "W")(np.ones((4, 3)))
+
+
+@st.composite
+def objective_problems(draw):
+    """X in C order, F order or as a transposed view, factors, and a full or
+    sparse weighted mask; shapes large enough for pairwise summation to show."""
+    m, n, r = draw(st.integers(1, 60)), draw(st.integers(1, 60)), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(["C", "F", "transposed view"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, n))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "transposed view":
+        X = np.ascontiguousarray(X.T).T
+    W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+    if draw(st.booleans()):
+        M = ObservationMask.full(m, n)
+    else:
+        rows, cols = np.nonzero(rng.uniform(size=(m, n)) < rng.uniform(0.1, 0.9))
+        M = ObservationMask(m, n, rows, cols, rng.uniform(0.05, 1.0, size=rows.size))
+    return X, W, H, M
+
+
+class TestObjectiveInPlace:
+    @settings(max_examples=80, deadline=None)
+    @given(objective_problems())
+    def test_bit_equal_to_out_of_place_formula(self, problem):
+        X, W, H, M = problem
+        copies = [A.copy(order="K") for A in (X, W, H)]
+        if M.is_full:
+            want = 0.5 * np.sum(np.square(X - W @ H))
+        else:
+            R = M.weights * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
+            want = 0.5 * float(np.sum(np.square(R), dtype=np.float64))
+        assert objective(X, W, H, M) == want
+        for A, A0 in zip((X, W, H), copies):
+            assert np.array_equal(A, A0)
+
+    def test_full_residual_is_a_new_array(self):
+        X, W, H = _factors(3, 5, 4)
+        R = masked_residual(X, W, H, ObservationMask.full(5, 4))
+        assert not any(np.shares_memory(R, A) for A in (X, W, H))
+        assert np.array_equal(R, X - W @ H)
+
+    def test_lower_precision_product_keeps_double_residual(self):
+        X, W, H = _factors(4, 5, 4)
+        W32, H32 = W.astype(np.float32), H.astype(np.float32)
+        R = masked_residual(X, W32, H32, ObservationMask.full(5, 4))
+        assert R.dtype == np.float64 and np.array_equal(R, X - W32 @ H32)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,31 @@ class TestSolve:
         var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 1))
         with pytest.raises(ValueError, match="non-finite"):
             solver(X, ObservationMask.full(4, 3), var, SolverConfig(rank=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_nonfinite_observed_entry_raises_sparse_mask(self, bad, solver):
+        X = np.full((4, 3), 0.5)
+        X[1, 2] = bad
+        M = ObservationMask(4, 3, [0, 1, 3, 2], [0, 2, 1, 2], [1.0, 0.5, 1.0, 0.25])
+        var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(X, M, var, SolverConfig(rank=2, seed=0))
+
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_overflowing_sum_of_squares_is_not_nonfinite(self, full, solver):
+        # finite entries whose squares overflow: the one-pass sum of squares
+        # is inf, and the exact scan must still let them through (what the
+        # solve then does with them is not pinned here)
+        X = np.full((4, 3), 1e200)
+        M = (ObservationMask.full(4, 3) if full
+             else ObservationMask(4, 3, [0, 1, 3], [0, 2, 1], np.ones(3)))
+        var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 2e200))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore")
+            _, report = solver(X, M, var, SolverConfig(rank=2, max_outer=2, seed=0))
+        assert report.outer_iterations == 2
 
     @pytest.mark.parametrize("solver", [solve, solve_centered])
     def test_nan_in_unobserved_cell_ignored(self, solver):
