@@ -1,18 +1,35 @@
 """Observation masks and the kernels over them: masked residuals, objective,
 gradients, spectral norm.
 
+On a sparse mask, WH is needed only at the observed cells. It is computed as a
+sampled dense-dense product (SDDMM): the mask's cells are in column-major
+order, so the cells of columns [j0, j1) are one contiguous slice. For each
+column block the product H[:, j0:j1]^T W^T goes into one reused buffer by BLAS,
+and the block's cells are taken from it by their precomputed flat offsets. The
+blocks are sized so that the buffer holds about _BLOCK_BYTES, so a product at
+the cells needs O(m b + nnz) memory for a block of b columns, not an nnz x r
+gather of each factor. The residual, both gradients and :func:`product_at`
+all use this one kernel.
+
 While one factor is frozen for a block of inner steps, :func:`block_gradient`
 does the work that depends on it only once: the Gram matrix and data product
-of the frozen factor for a full mask, its rows gathered at the observed cells
-for a sparse mask. The objective is not computed in that Gram form
-(0.5||X||^2 - <X, WH> + 0.5<W^T W, HH^T>): near an exact fit its terms cancel,
-and the stopping test and exact-recovery checks need the small residual. For a
-full mask it forms WH once and subtracts and squares in that buffer, so each
-evaluation allocates one m x n array and never writes X, W or H.
+of the frozen factor for a full mask, the observed values, squared weights
+and the block buffer for a sparse mask. The objective is not computed in that
+Gram form (0.5||X||^2 - <X, WH> + 0.5<W^T W, HH^T>): near an exact fit its
+terms cancel, and the stopping test and exact-recovery checks need the small
+residual. For a full mask it forms WH once and subtracts and squares in that
+buffer, so each evaluation allocates one m x n array and never writes X, W or
+H.
+
+Wherever a kernel takes the data X, it also takes the observed values
+``M.observed(X)`` in their place, so a caller that evaluates many times can
+gather them once.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+_BLOCK_BYTES = 4 << 20  # size of the product buffer of one column block
 
 
 class ShapeError(ValueError):
@@ -33,9 +50,10 @@ class ObservationMask:
     A full mask (all weights 1) is stored as a sentinel without materializing
     entries. A sparse mask keeps its cells in canonical column-major order
     (sorted by column, then row), whatever order they were given in, together
-    with the matching CSC pattern. This class is the only place that tells the
-    two cases apart: callers read observed values through :meth:`observed` and
-    :meth:`row_extrema`.
+    with the matching CSC pattern, the squared weights and the column-block
+    plan of the product at its cells. This class is the only place that tells
+    the two cases apart: callers read observed values through :meth:`observed`
+    and :meth:`row_extrema`.
     """
 
     def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, _full=False):
@@ -45,7 +63,8 @@ class ObservationMask:
         self.cols = int(cols)
         self._full = _full
         if _full:
-            self.row_idx = self.col_idx = self.weights = self._flat = self._pattern = None
+            self.row_idx = self.col_idx = self.weights = None
+            self._flat = self._pattern = self._w2 = self._plan = None
             return
         row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
         col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
@@ -72,6 +91,8 @@ class ObservationMask:
         self._flat = self.row_idx * cols + self.col_idx  # row-major offsets
         indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
         self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
+        self._w2 = self.weights**2
+        self._plan = _BlockPlan(rows, cols, self.row_idx, self.col_idx)
 
     @classmethod
     def full(cls, rows, cols):
@@ -87,11 +108,14 @@ class ObservationMask:
 
     def observed(self, A):
         """Entries of the rows x cols array A at observed cells: A itself for a
-        full mask (no copy), else a 1-D array in canonical order."""
-        if self._full:
+        full mask (no copy), else a 1-D array in canonical order. For a sparse
+        mask A may already be that 1-D array; it is returned as it is."""
+        if not self._full and A.shape == (self.nnz,):
             return A
         if A.shape != (self.rows, self.cols):
             raise ShapeError(f"array shape {A.shape} != mask shape {self.rows}x{self.cols}")
+        if self._full:
+            return A
         if A.flags.c_contiguous:  # a flat gather is about 2.5x faster
             return np.take(A, self._flat)
         return A[self.row_idx, self.col_idx]
@@ -109,43 +133,77 @@ class ObservationMask:
         return lo, hi
 
 
-def _check_dims(X, W, H, M):
-    m, n = X.shape
-    if W.shape[0] != m or H.shape[1] != n or W.shape[1] != H.shape[0]:
-        raise ShapeError(
-            f"incompatible shapes X{X.shape}, W{W.shape}, H{H.shape}"
-        )
-    if M.rows != m or M.cols != n:
-        raise ShapeError(f"mask shape {M.rows}x{M.cols} != data shape {m}x{n}")
+class _BlockPlan:
+    """Column blocks of the product WH at cells sorted by column.
+
+    Columns are cut into blocks of b columns, with b chosen so that the b x m
+    product buffer holds about _BLOCK_BYTES. Blocks without cells are left
+    out. Each entry of ``blocks`` is (j0, j1, s0, s1): columns [j0, j1) and
+    the slice [s0, s1) of their cells. ``local`` holds each cell's offset in
+    its block's buffer, which stores (WH)(i, j) at (j - j0) * m + i.
+    """
+
+    def __init__(self, m, n, row_idx, col_idx):
+        width = max(1, _BLOCK_BYTES // (8 * m))
+        edges = np.minimum(np.arange(0, n + width, width), n)
+        starts = np.searchsorted(col_idx, edges).tolist()
+        edges = edges.tolist()
+        self.blocks = [(j0, j1, s0, s1) for j0, j1, s0, s1
+                       in zip(edges[:-1], edges[1:], starts[:-1], starts[1:]) if s1 > s0]
+        self.local = col_idx % width * m + row_idx
+        self.buffer_size = m * max((j1 - j0 for j0, j1, _, _ in self.blocks), default=0)
 
 
-def _take_rows(A, idx):
-    """Rows idx of A, gathered from a C-contiguous copy (a no-op copy when A
-    already is one); much faster than fancy-indexing a strided view."""
-    return np.take(np.ascontiguousarray(A), idx, axis=0)
-
-
-def _row_dots(A, B):
-    """Dot product of each row of A with the same row of B."""
-    return np.einsum("ij,ij->i", A, B)
+def _sampled_product(W, H, plan, out=None, buf=None):
+    """(WH) at the plan's cells, in the plan's order, into out. One BLAS
+    product per column block goes into buf, which is reused across blocks
+    and may be reused across calls."""
+    if out is None:
+        out = np.empty(plan.local.size, np.result_type(W, H))
+    if buf is None:
+        buf = np.empty(plan.buffer_size, out.dtype)
+    m, Wt = W.shape[0], W.T
+    for j0, j1, s0, s1 in plan.blocks:
+        np.matmul(H[:, j0:j1].T, Wt, out=buf[: (j1 - j0) * m].reshape(j1 - j0, m))
+        # the offsets are in range by construction; "raise" would buffer out
+        np.take(buf, plan.local[s0:s1], out=out[s0:s1], mode="clip")
+    return out
 
 
 def product_at(W, H, row_idx, col_idx):
-    """(WH)(i, j) evaluated only at the listed cells."""
-    return _row_dots(_take_rows(W, row_idx), _take_rows(H.T, col_idx))
+    """(WH)(i, j) evaluated only at the listed cells, in the order given."""
+    rows = np.asarray(row_idx, dtype=np.intp)
+    cols = np.asarray(col_idx, dtype=np.intp)
+    m, n = W.shape[0], H.shape[1]
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ShapeError(f"cell index arrays must be 1-D of equal length, got "
+                         f"{rows.shape} and {cols.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
+        raise IndexError(f"cell index out of range for {m}x{n}")
+    order = np.argsort(cols, kind="stable")  # no reordering for canonical cells
+    vals = np.empty(rows.size, np.result_type(W, H))
+    vals[order] = _sampled_product(W, H, _BlockPlan(m, n, rows[order], cols[order]))
+    return vals
+
+
+def _check_dims(W, H, M):
+    if W.shape[1] != H.shape[0] or (W.shape[0], H.shape[1]) != (M.rows, M.cols):
+        raise ShapeError(
+            f"incompatible shapes W{W.shape}, H{H.shape}, mask {M.rows}x{M.cols}"
+        )
 
 
 def _residual(X, W, H, M):
     """M o (X - WH) at observed cells, always in a new array that the caller
     may overwrite: a dense ndarray for a full mask (weights are all 1), else
-    the 1-D values in canonical order. A full mask subtracts in place into the
-    product WH, so one m x n array is allocated; the dense product is never
-    formed for a sparse mask."""
-    _check_dims(X, W, H, M)
-    if M.is_full:
-        R = W @ H
-        return np.subtract(X, R, out=R if R.dtype == np.result_type(X, R) else None)
-    return M.weights * (M.observed(X) - product_at(W, H, M.row_idx, M.col_idx))
+    the 1-D values in canonical order. Each case subtracts in place into the
+    product WH, so a full mask allocates one m x n array and a sparse mask
+    one nnz vector and one block buffer."""
+    _check_dims(W, H, M)
+    x = M.observed(X)
+    R = W @ H if M.is_full else _sampled_product(W, H, M._plan)
+    R = np.subtract(x, R, out=R if R.dtype == np.result_type(x, R) else None)
+    return R if M.is_full else np.multiply(M.weights, R, out=R)
 
 
 def _on_pattern(M, vals):
@@ -185,46 +243,50 @@ def block_gradient(X, F, M, side):
     Everything that depends only on F is computed here, once per block. A
     full mask precomputes the Gram matrix and the data product (HH^T and
     XH^T, or W^TW and W^TX), so each gradient costs O(mr^2) or O(nr^2) and
-    forms no m x n residual. A sparse mask gathers F once at the observed
-    cells and each gradient gathers only the free factor; only the values
-    of one CSC matrix on the mask's pattern change between calls.
+    forms no m x n residual. A sparse mask takes the observed values once
+    and allocates the residual and the block buffer of the product at the
+    cells once; each gradient overwrites them and multiplies one CSC matrix
+    on the mask's pattern.
     """
     if side not in ("W", "H"):
         raise ValueError(f"side must be 'W' or 'H', got {side!r}")
-    X = np.asarray(X)
-    m, n = X.shape
+    m, n = M.rows, M.cols
+    x = M.observed(np.asarray(X))
     if side == "W":
         fits, free_shape = F.shape[1] == n, (m, F.shape[0])
     else:
         fits, free_shape = F.shape[0] == m, (F.shape[1], n)
-    if not fits or (M.rows, M.cols) != (m, n):
-        raise ShapeError(f"incompatible shapes X{X.shape}, frozen factor {F.shape}, "
-                         f"mask {M.rows}x{M.cols}")
+    if not fits:
+        raise ShapeError(f"incompatible shapes: frozen factor {F.shape}, mask {m}x{n}")
 
     if M.is_full:
         if side == "W":
-            G, XFt = F @ F.T, X @ F.T
+            G, XFt = F @ F.T, x @ F.T
             grad = lambda W: W @ G - XFt
         else:
-            G, FtX = F.T @ F, F.T @ X
+            G, FtX = F.T @ F, F.T @ x
             grad = lambda H: G @ H - FtX
     else:
-        x, w2 = M.observed(X), M.weights**2
-        R = _on_pattern(M, np.empty_like(w2))
+        R = _on_pattern(M, np.empty(M.nnz))
+        vals, w2, buf = R.data, M._w2, np.empty(M._plan.buffer_size)
+
+        def residual(W, H):  # R.data = w2 * (WH - x) at the cells
+            _sampled_product(W, H, M._plan, vals, buf)
+            np.subtract(vals, x, out=vals)
+            np.multiply(vals, w2, out=vals)
+
         if side == "W":
             Ft = np.ascontiguousarray(F.T)
-            F_at = np.take(Ft, M.col_idx, axis=0)
 
             def grad(W):
-                R.data = w2 * (_row_dots(_take_rows(W, M.row_idx), F_at) - x)
+                residual(W, F)
                 return R @ Ft
         else:
-            F_at = _take_rows(F, M.row_idx)
-            R = R.T  # CSR on the transposed pattern
+            Rt = R.T  # CSR on the transposed pattern, sharing R.data
 
             def grad(H):
-                R.data = w2 * (_row_dots(F_at, _take_rows(H.T, M.col_idx)) - x)
-                return (R @ F).T
+                residual(F, H)
+                return (Rt @ F).T
 
     def gradient(A):
         if A.shape != free_shape:

@@ -135,10 +135,9 @@ def _lipschitz_floor(X, M, sum_sq=None):
     """Lower bound for the step constants L_W and L_H: 1e-12 times the mean
     square of X over all m x n cells, and at least 1e-12. sum_sq, when given,
     is the observed sum of squares already computed by _check_observed."""
-    m, n = X.shape
     if sum_sq is None:
         sum_sq = _observed_sum_of_squares(X, M)
-    return 1e-12 * max(1.0, sum_sq / (m * n))
+    return 1e-12 * max(1.0, sum_sq / (M.rows * M.cols))
 
 
 def _check_observed(X, M, bounds=None):
@@ -207,11 +206,12 @@ def solve(X, M, variant, config, objective_fn=None):
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     config.validate(m, n)
-    sum_sq = _check_observed(X, M, variant.bounds if variant.kind == BSSMF else None)
+    x = M.observed(X)  # gathered once; every kernel below takes it for X
+    sum_sq = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None)
 
     factors = initialize(X, M, variant, config)
     if objective_fn is None:
-        objective_fn = lambda W, H: mc.objective(X, W, H, M)
+        objective_fn = lambda W, H: mc.objective(x, W, H, M)
 
     report = SolveReport()
     if M.nnz == 0:
@@ -222,7 +222,7 @@ def solve(X, M, variant, config, objective_fn=None):
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    floor = _lipschitz_floor(X, M, sum_sq)
+    floor = _lipschitz_floor(x, M, sum_sq)
     sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
     sh = _BlockState(max(mc.spectral_norm(W.T @ W), floor))
 
@@ -233,11 +233,11 @@ def solve(X, M, variant, config, objective_fn=None):
     outer = 0
     for outer in range(1, config.max_outer + 1):
         W, W_old = update_W_block(
-            X, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
+            x, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
         )
         sh.L = max(mc.spectral_norm(W.T @ W), floor)
         H, H_old = update_H_block(
-            X, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
+            x, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
         )
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
         ltrace.append((sw.L, sh.L))
@@ -268,13 +268,14 @@ def solve_centered(X, M, variant, config):
     X = np.asarray(X, dtype=np.float64)
     if M.nnz == 0:
         raise ValueError("cannot center with an empty mask")
-    _check_observed(X, M)
-    c = float(np.mean(M.observed(X)))
+    x = M.observed(X)
+    _check_observed(x, M)
+    c = float(np.mean(x))
     Xc = X - c
     shifted = ModelVariant.bssmf(
         BoundsVector(variant.bounds.lower - c, variant.bounds.upper - c)
     )
-    obj_orig = lambda W, H: mc.objective(X, W + c, H, M)
+    obj_orig = lambda W, H: mc.objective(x, W + c, H, M)
     factors, report = solve(Xc, M, shifted, config, objective_fn=obj_orig)
     return FactorPair(factors.W + c, factors.H), report
 
@@ -283,11 +284,7 @@ def predict_cells(W, H, rows, cols, bounds=None):
     """Vectorized W(i,:) . H(:,j) over index arrays; bound-checked and clamped
     row-wise when bounds are given."""
     rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    m, n = W.shape[0], H.shape[1]
-    if rows.size and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
-        raise IndexError(f"cell index out of range for {m}x{n}")
-    vals = mc.product_at(W, H, rows, cols)
+    vals = mc.product_at(W, H, rows, cols)  # raises IndexError on a cell out of range
     if bounds is not None:
         lo = bounds.lower[rows]
         hi = bounds.upper[rows]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bssmf.matrixcore as mc
 from bssmf.matrixcore import (
     DuplicateCellError,
     ObservationMask,
@@ -401,3 +402,98 @@ class TestObjectiveInPlace:
         W32, H32 = W.astype(np.float32), H.astype(np.float32)
         R = masked_residual(X, W32, H32, ObservationMask.full(5, 4))
         assert R.dtype == np.float64 and np.array_equal(R, X - W32 @ H32)
+
+
+@st.composite
+def blocked_problems(draw):
+    """A weighted sparse mask of up to 12 x 60 cells with whole columns left
+    empty, a block budget of 1-7 columns, a rank and a seed. Empty columns
+    make whole blocks empty; nnz may be 0."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 60))
+    block_bytes = 8 * m * draw(st.integers(1, 7)) + draw(st.integers(0, 8 * m - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    live_cols = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    rows, cols = np.nonzero((rng.uniform(size=(m, n)) < draw(st.floats(0, 1))) & live_cols)
+    return m, n, rows, cols, block_bytes, draw(st.integers(1, 5)), seed
+
+
+class TestBlockedProduct:
+    """The column-blocked product at the cells, with the block budget cut to a
+    few columns, against the dense product (W @ H)[rows, cols]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_problems())
+    def test_mask_kernels_match_dense_product(self, problem):
+        m, n, rows, cols, block_bytes, r, seed = problem
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(m, n))
+        W, H = rng.uniform(-1, 1, size=(m, r)), rng.uniform(-1, 1, size=(r, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_BLOCK_BYTES", block_bytes)
+            M = ObservationMask(m, n, rows, cols, rng.uniform(0.05, 1.0, size=rows.size))
+            ri, ci, w = M.row_idx, M.col_idx, M.weights
+            S = np.zeros((m, n))
+            S[ri, ci] = w * (X - W @ H)[ri, ci]
+            R = masked_residual(X, W, H, M)
+            assert R.toarray() == pytest.approx(S, rel=1e-12, abs=1e-13)
+            # the mask and product_at cut the columns alike, so the sums agree exactly
+            x_minus_wh = M.observed(X) - product_at(W, H, ri, ci)
+            assert objective(X, W, H, M) == 0.5 * float(np.sum(np.square(w * x_minus_wh)))
+            S[ri, ci] *= w
+            for x in (X, M.observed(X)):  # dense data or its observed values
+                assert block_gradient(x, H, M, "W")(W) == pytest.approx(
+                    -S @ H.T, rel=1e-12, abs=1e-13)
+                assert block_gradient(x, W, M, "H")(H) == pytest.approx(
+                    -W.T @ S, rel=1e-12, abs=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_problems(), st.integers(0, 3))
+    def test_product_at_keeps_the_callers_order(self, problem, repeats):
+        m, n, _, _, block_bytes, r, seed = problem
+        rng = np.random.default_rng(seed)
+        W, H = rng.uniform(-1, 1, size=(m, r)), rng.uniform(-1, 1, size=(r, n))
+        # shuffled cells, some listed more than once
+        k = int(rng.integers(0, m * n + 1))
+        flat = rng.choice(m * n, size=k, replace=False)
+        flat = rng.permutation(np.concatenate([flat] + [flat[: k // 2]] * repeats))
+        rows, cols = np.divmod(flat, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_BLOCK_BYTES", block_bytes)
+            got = product_at(W, H, rows, cols)
+        assert got.shape == (flat.size,)
+        assert got == pytest.approx((W @ H)[rows, cols], rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("m, n", [(1, 37), (23, 1), (1, 1)])
+    def test_single_row_or_column(self, monkeypatch, m, n):
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * m * 3)
+        rng = np.random.default_rng(m * 100 + n)
+        W, H = rng.uniform(size=(m, 2)), rng.uniform(size=(2, n))
+        rows, cols = np.divmod(np.arange(m * n)[::-1], n)
+        assert product_at(W, H, rows, cols) == pytest.approx((W @ H)[rows, cols], rel=1e-12)
+        M = ObservationMask(m, n, rows, cols, np.ones(m * n))
+        X = rng.uniform(size=(m, n))
+        assert objective(X, W, H, M) == pytest.approx(0.5 * np.sum((X - W @ H) ** 2), rel=1e-12)
+
+    def test_empty_blocks_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * 4 * 2)  # two columns of a 4-row buffer
+        M = ObservationMask(4, 30, [3, 0, 2], [29, 1, 1], np.ones(3))
+        assert [b[:2] for b in M._plan.blocks] == [(0, 2), (28, 30)]
+        W, H = np.arange(8.0).reshape(4, 2), np.arange(60.0).reshape(2, 30)
+        assert np.array_equal(product_at(W, H, [3, 0, 2], [29, 1, 1]),
+                              (W @ H)[[3, 0, 2], [29, 1, 1]])
+
+    def test_no_cells(self):
+        W, H = np.ones((3, 2)), np.ones((2, 4))
+        assert product_at(W, H, [], []).shape == (0,)
+        M = ObservationMask(3, 4, [], [], [])
+        assert objective(np.ones((3, 4)), W, H, M) == 0.0
+        assert np.array_equal(block_gradient(np.ones((3, 4)), H, M, "W")(W), np.zeros((3, 2)))
+
+    def test_cell_out_of_range(self):
+        with pytest.raises(IndexError):
+            product_at(np.ones((3, 2)), np.ones((2, 4)), [0, 3], [0, 0])
+        with pytest.raises(IndexError):
+            product_at(np.ones((3, 2)), np.ones((2, 4)), [0], [-1])
+        with pytest.raises(ShapeError):
+            product_at(np.ones((3, 2)), np.ones((2, 4)), [0, 1], [0])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from bssmf import (
     solve,
     solve_centered,
 )
+import bssmf.matrixcore as mc
 from bssmf.matrixcore import objective
 from bssmf.solver import ConfigError, initialize
 
@@ -320,6 +322,30 @@ class TestExtrapolationBenefit:
             if r_ex.objective_trace[-1] <= r_bcd.objective_trace[-1]:
                 wins += 1
         assert wins >= 8
+
+
+class TestSparseSolveMemory:
+    def test_peak_below_one_cells_by_rank_array(self, monkeypatch):
+        """A sparse solve pass allocates O(m b + nnz), never an nnz x r array:
+        the product at the cells goes through one block buffer."""
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 64 << 10)
+        m, n, r = 300, 200, 10
+        rng = np.random.default_rng(3)
+        rows, cols = np.nonzero(rng.uniform(size=(m, n)) < 0.35)
+        cells_by_rank = 8 * rows.size * r
+        assert cells_by_rank >= 4 * mc._BLOCK_BYTES
+        M = ObservationMask(m, n, rows, cols, np.ones(rows.size))
+        X = rng.uniform(1, 5, size=(m, n))
+        variant = ModelVariant.bssmf(BoundsVector.constant(m, 1.0, 5.0))
+        config = SolverConfig(rank=r, max_outer=2, max_inner_W=1, max_inner_H=1,
+                              rel_tol=0.0, record_trace=False)
+        tracemalloc.start()
+        try:
+            solve(X, M, variant, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cells_by_rank
 
 
 class TestObjectiveEvaluations:
