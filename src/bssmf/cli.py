@@ -80,10 +80,7 @@ def cmd_factorize(args):
                 max_inner_H=args.inner_h, rel_tol=args.rel_tol,
                 extrapolate=not args.no_extrapolation, center=args.center, seed=seed,
             )
-            if args.center:
-                factors, report = sv.solve_centered(X, M, variant, config)
-            else:
-                factors, report = sv.solve(X, M, variant, config)
+            factors, report = sv.solve(X, M, variant, config)
             final = report.objective_trace[-1]
             if best is None or final < best[2]:
                 best = (factors, report, final, config)
@@ -206,20 +203,20 @@ def cmd_center_demo(args):
         bounds = prep.infer_bounds(X, M)
         offset = float(np.mean((bounds.upper - bounds.lower) / 2.0))
         uneven = (X + offset, BoundsVector(bounds.lower + offset, bounds.upper + offset))
-        # "centered" runs solve_centered on the plain data
+        # "centered" is the plain data with centering on
         scenarios = {"plain": (X, bounds), "centered": (X, bounds), "uneven": uneven}
         series = {}
         for mode, (Xm, bm) in scenarios.items():
-            solve = sv.solve_centered if mode == "centered" else sv.solve
             for extrap, label in ((True, "alg1"), (False, "bcd")):
                 traces = []
                 for seed in range(args.seeds):
                     config = sv.SolverConfig(
                         rank=args.rank, max_outer=args.outer,
                         max_inner_W=args.inner, max_inner_H=args.inner,
-                        rel_tol=0.0, extrapolate=extrap, seed=seed,
+                        rel_tol=0.0, extrapolate=extrap, center=mode == "centered",
+                        seed=seed,
                     )
-                    _, rep = solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
+                    _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
                     traces.append(rep.objective_trace)
                 series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     except (ValueError, sv.ConfigError) as e:

@@ -42,13 +42,22 @@ class RatingsDataset:
             raise ValueError(f"user id outside [0, {self.num_users})")
         if np.any(self.items < 0) or np.any(self.items >= self.num_items):
             raise ValueError(f"item id outside [0, {self.num_items})")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            k = bad[0]
+            u, i = self._raw_ids(self.users[k], self.items[k])
+            raise ValueError(f"non-finite rating {self.values[k]} for user {u}, item {i}")
         key = np.sort(self.users * self.num_items + self.items)
         dup = np.flatnonzero(key[1:] == key[:-1])
-        if dup.size:  # named by raw ids where the maps have them
-            u, i = divmod(int(key[dup[0]]), self.num_items)
-            u = next((raw for raw, d in self.user_map.items() if d == u), u)
-            i = next((raw for raw, d in self.item_map.items() if d == i), i)
+        if dup.size:
+            u, i = self._raw_ids(*divmod(int(key[dup[0]]), self.num_items))
             raise ValueError(f"duplicate rating for user {u}, item {i}")
+
+    def _raw_ids(self, u, i):
+        """Dense ids (u, i) as raw ids where the maps have them."""
+        u = next((raw for raw, d in self.user_map.items() if d == u), int(u))
+        i = next((raw for raw, d in self.item_map.items() if d == i), int(i))
+        return u, i
 
 
 @dataclass
@@ -156,21 +165,28 @@ def solve_h_given_w(X, M, W, variant, config):
     """Fit only the H block against a frozen W (test-time adaptation).
 
     W never changes, so the max_outer passes of max_inner_H steps are one
-    block of max_outer * max_inner_H steps with one gradient build.
+    block of max_outer * max_inner_H steps with one gradient build. Like
+    :func:`solver.solve`, it raises ValueError on a non-finite observed entry.
     """
     r = W.shape[1]
     rng = np.random.default_rng(config.seed)
     H = variant.project_H(rng.uniform(size=(r, X.shape[1])))
-    floor = sv._lipschitz_floor(X, M)
+    x = M.observed(X)
+    floor = sv._check_observed(x, M)
     state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
-    H, _ = sv.update_H_block(X, W, H, M, variant, state, H,
+    H, _ = sv.update_H_block(x, W, H, M, variant, state, H,
                              config.max_outer * config.max_inner_H, config.extrapolate)
     return H
 
 
-def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=None):
+def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
     """Train on the training users, adapt H on test users' known ratings,
-    report held-out RMSE."""
+    report held-out RMSE.
+
+    Training runs :func:`solver.solve` with config as given, so config.center
+    centers the training ratings, and centering a variant other than bssmf
+    raises ConfigError. Test-time adaptation is never centered.
+    """
     cols = fold.M_known.cols
     known = fold.M_known.row_idx * cols + fold.M_known.col_idx
     held = fold.M_heldout.row_idx * cols + fold.M_heldout.col_idx
@@ -178,11 +194,7 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0), center=Non
         raise ValueError("held-out cells leaked into the adaptation mask")
     variant = sv.ModelVariant.from_kind(
         variant_kind, BoundsVector.constant(fold.num_items, *value_range))
-    use_center = config.center if center is None else center
-    if use_center and variant_kind == sv.BSSMF:
-        factors, report = sv.solve_centered(fold.X_train, fold.M_train, variant, config)
-    else:
-        factors, report = sv.solve(fold.X_train, fold.M_train, variant, config)
+    factors, report = sv.solve(fold.X_train, fold.M_train, variant, config)
     W = factors.W
 
     H_test = solve_h_given_w(fold.X_test, fold.M_known, W, variant, config)
@@ -222,10 +234,10 @@ def overfitting_sweep(dataset, spec, ranks, variants, seeds, max_outer=200,
             for seed in seeds:
                 config = sv.SolverConfig(
                     rank=r, max_outer=max_outer, max_inner_W=1, max_inner_H=1,
-                    rel_tol=0.0, extrapolate=True, seed=seed, record_trace=False,
+                    rel_tol=0.0, extrapolate=True, center=center, seed=seed,
+                    record_trace=False,
                 )
-                rep = evaluate_fold(fold, kind, config,
-                                    value_range=dataset.value_range, center=center)
+                rep = evaluate_fold(fold, kind, config, value_range=dataset.value_range)
                 tests.append(rep.rmse_test)
                 trains.append(rep.rmse_train)
                 wall += rep.wall_time

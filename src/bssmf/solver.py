@@ -9,7 +9,7 @@ weight. Setting extrapolate=False recovers plain block coordinate descent
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,38 +123,26 @@ def initialize(X, M, variant, config):
     return FactorPair(W, H)
 
 
-def _observed_sum_of_squares(X, M):
-    """Sum of squares of the observed entries of X in one pass, with no
-    temporary. einsum, not x @ x: a BLAS dot wakes the BLAS worker threads,
-    which then spin for about 0.1 s of CPU time after returning."""
-    x = np.ravel(M.observed(X), order="K")  # no copy for a contiguous X
-    return float(np.einsum("i,i->", x, x))
-
-
-def _lipschitz_floor(X, M, sum_sq=None):
-    """Lower bound for the step constants L_W and L_H: 1e-12 times the mean
-    square of X over all m x n cells, and at least 1e-12. sum_sq, when given,
-    is the observed sum of squares already computed by _check_observed."""
-    if sum_sq is None:
-        sum_sq = _observed_sum_of_squares(X, M)
-    return 1e-12 * max(1.0, sum_sq / (M.rows * M.cols))
-
-
 def _check_observed(X, M, bounds=None):
-    """Raise on a non-finite observed entry; warn if one lies outside bounds.
+    """Raise on a non-finite observed entry of X; warn if one lies outside bounds.
 
-    Returns the observed sum of squares. A NaN or inf entry makes that sum
-    non-finite, so the elementwise scan runs only when it is; it tells such
-    an entry from finite entries whose squares overflow.
+    Returns the floor of the step constants L_W and L_H: 1e-12 times the mean
+    square of X over all m x n cells, and at least 1e-12. The sum of squares
+    takes one pass and no temporary: einsum, not x @ x, because a BLAS dot
+    wakes the BLAS worker threads, which then spin for about 0.1 s of CPU
+    time after returning. A NaN or inf entry makes that sum non-finite, so
+    the elementwise scan runs only when it is; it tells such an entry from
+    finite entries whose squares overflow.
     """
-    sum_sq = _observed_sum_of_squares(X, M)
-    if not np.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
+    x = np.ravel(M.observed(X), order="K")  # no copy for a contiguous X
+    sum_sq = float(np.einsum("i,i->", x, x))
+    if not np.isfinite(sum_sq) and not np.all(np.isfinite(x)):
         raise ValueError("X has a non-finite (NaN or inf) observed entry")
     if bounds is not None:
         lo, hi = M.row_extrema(X)
         if np.any(lo < bounds.lower) or np.any(hi > bounds.upper):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
-    return sum_sq
+    return 1e-12 * max(1.0, sum_sq / (M.rows * M.cols))
 
 
 class _BlockState:
@@ -195,24 +183,38 @@ def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
                        variant.project_H, state, n_inner, extrapolate)
 
 
-def solve(X, M, variant, config, objective_fn=None):
+def solve(X, M, variant, config):
     """Run the block-coordinate solver; returns (FactorPair, SolveReport).
 
-    objective_fn(W, H) overrides the recorded objective (used by the centered
-    solve to report objectives in original coordinates). With rel_tol == 0
-    and record_trace off, only the first and last objectives are kept, so
-    only those two are computed.
+    With config.center set (bssmf variant only), the solver fits x - c, where
+    x are the observed values and c their mean, with bounds [a - c, b - c],
+    and returns W + c. Every column of H sums to one, so (W + c)H = WH + c
+    and the objective is unchanged; objectives are reported for W + c against
+    x. The shift applies to the values already gathered at the observed
+    cells, so on a sparse mask it costs O(nnz), not O(mn).
+
+    With rel_tol == 0 and record_trace off, only the first and last
+    objectives are kept, so only those two are computed.
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     config.validate(m, n)
-    x = M.observed(X)  # gathered once; every kernel below takes it for X
-    sum_sq = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None)
+    x = x_fit = M.observed(X)  # gathered once; every kernel below takes it for X
+    c = 0.0
+    if config.center:
+        if variant.kind != BSSMF:
+            raise ConfigError("centering requires the bounded simplex variant")
+        if M.nnz == 0:
+            raise ValueError("cannot center with an empty mask")
+        _check_observed(x, M)  # before the mean, which a NaN entry would make NaN
+        c = float(np.mean(x))
+        x_fit = x - c
+        variant = ModelVariant.bssmf(
+            BoundsVector(variant.bounds.lower - c, variant.bounds.upper - c))
+    floor = _check_observed(x_fit, M, variant.bounds if variant.kind == BSSMF else None)
+    uncenter = (lambda W: W + c) if config.center else (lambda W: W)
 
     factors = initialize(X, M, variant, config)
-    if objective_fn is None:
-        objective_fn = lambda W, H: mc.objective(x, W, H, M)
-
     report = SolveReport()
     if M.nnz == 0:
         report.objective_trace = [0.0]
@@ -222,62 +224,46 @@ def solve(X, M, variant, config, objective_fn=None):
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    floor = _lipschitz_floor(x, M, sum_sq)
     sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
     sh = _BlockState(max(mc.spectral_norm(W.T @ W), floor))
 
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [objective_fn(W, H)]
+    trace = [mc.objective(x, uncenter(W), H, M)]
     ltrace = []
     stop = "max_iters"
     outer = 0
     for outer in range(1, config.max_outer + 1):
         W, W_old = update_W_block(
-            x, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
+            x_fit, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
         )
         sh.L = max(mc.spectral_norm(W.T @ W), floor)
         H, H_old = update_H_block(
-            x, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
+            x_fit, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
         )
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
         ltrace.append((sw.L, sh.L))
         if not every_pass:
             continue
-        trace.append(objective_fn(W, H))
+        trace.append(mc.objective(x, uncenter(W), H, M))
         if config.rel_tol > 0 and len(trace) > 10:
             f_then, f_now = trace[-11], trace[-1]
             if f_then - f_now < config.rel_tol * max(f_then, 1e-300):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(objective_fn(W, H))
+        trace.append(mc.objective(x, uncenter(W), H, M))
 
     report.objective_trace = trace if config.record_trace else [trace[0], trace[-1]]
     report.outer_iterations = outer
     report.lipschitz_trace = ltrace if config.record_trace else []
     report.wall_time = time.perf_counter() - t0
     report.stop_reason = stop
-    return FactorPair(W, H), report
+    return FactorPair(uncenter(W), H), report
 
 
 def solve_centered(X, M, variant, config):
-    """Solve on X - cJ (c = mean of observed entries) with shifted bounds,
-    then shift W back. Reported objectives are in the original coordinates."""
-    if variant.kind != BSSMF:
-        raise ConfigError("centering requires the bounded simplex variant")
-    X = np.asarray(X, dtype=np.float64)
-    if M.nnz == 0:
-        raise ValueError("cannot center with an empty mask")
-    x = M.observed(X)
-    _check_observed(x, M)
-    c = float(np.mean(x))
-    Xc = X - c
-    shifted = ModelVariant.bssmf(
-        BoundsVector(variant.bounds.lower - c, variant.bounds.upper - c)
-    )
-    obj_orig = lambda W, H: mc.objective(x, W + c, H, M)
-    factors, report = solve(Xc, M, shifted, config, objective_fn=obj_orig)
-    return FactorPair(factors.W + c, factors.H), report
+    """:func:`solve` with config.center set."""
+    return solve(X, M, variant, replace(config, center=True))
 
 
 def predict_cells(W, H, rows, cols, bounds=None):

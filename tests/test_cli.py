@@ -223,6 +223,18 @@ class TestComplete:
         assert len(rows) == 3  # header + 2 ranks
         assert rows[1].split(",")[5] == "0"  # std column zero for 1 seed
 
+    @pytest.mark.parametrize("variant", ["nmf", "mf"])
+    def test_center_other_variant_exit(self, tmp_path, capsys, variant):
+        p = tmp_path / "u.data"
+        p.write_text("".join(f"{u}\t{i}\t{1 + (u + i) % 5}\t0\n"
+                             for u in range(1, 9) for i in range(1, 6)))
+        code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "1",
+                     "--variant", variant, "--center", "--split-test-users", "2",
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == EXIT_CONFIG
+        assert "centering requires the bounded simplex variant" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
     @pytest.mark.parametrize("bad_line, message", [
         ("2\t10\t4\tabc", "line 2"),
         ("1\t10\t4\t0", "duplicate rating for user 1, item 10"),

@@ -17,8 +17,14 @@ from bssmf.evaluation import (
     split,
 )
 from bssmf.matrixcore import ObservationMask
-from bssmf.projections import project_simplex_columns
-from bssmf.solver import ConfigError, SolverConfig
+from bssmf.projections import BoundsVector, project_simplex_columns
+from bssmf.solver import (
+    ConfigError,
+    ModelVariant,
+    SolverConfig,
+    predict_cells,
+    solve_centered,
+)
 
 
 def synthetic_ratings(rng, num_users=40, num_items=30, r=3, per_user=12,
@@ -111,6 +117,16 @@ class TestRatingsDataset:
     def test_id_out_of_range_rejected(self, users, items, match):
         with pytest.raises(ValueError, match=match):
             RatingsDataset(2, 2, users, items, [3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("maps, named", [
+        ({}, "user 1, item 0"),
+        ({"user_map": {"u9": 0, "u7": 1}, "item_map": {"i100": 0, "i5": 1}},
+         "user u7, item i100"),
+    ])
+    def test_nonfinite_rating_rejected(self, bad, maps, named):
+        with pytest.raises(ValueError, match=f"non-finite rating .* for {named}"):
+            RatingsDataset(2, 2, [0, 1], [1, 0], [3.0, bad], **maps)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -305,6 +321,24 @@ class TestEvaluateFold:
         with pytest.raises(ConfigError, match="unknown variant 'nfm'"):
             evaluate_fold(fold, "nfm", SolverConfig(rank=1, max_outer=1))
 
+    def test_center_follows_config(self):
+        rng = np.random.default_rng(11)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, num_items=15, per_user=10,
+                                     noise=0.3)
+        fold = split(ds, SplitSpec(test_user_count=4, min_ratings_per_item=1, seed=0))
+        cfg = SolverConfig(rank=2, max_outer=20, max_inner_W=1, max_inner_H=1,
+                           rel_tol=0.0, seed=0, record_trace=False, center=True)
+        rep = evaluate_fold(fold, "bssmf", cfg)
+        variant = ModelVariant.bssmf(BoundsVector.constant(fold.num_items, 1.0, 5.0))
+        f, _ = solve_centered(fold.X_train, fold.M_train, variant, cfg)
+        M = fold.M_train
+        want = rmse(predict_cells(f.W, f.H, M.row_idx, M.col_idx, bounds=variant.bounds),
+                    fold.X_train[M.row_idx, M.col_idx])
+        assert rep.rmse_train == want
+        for kind in ("nmf", "mf"):
+            with pytest.raises(ConfigError, match="centering"):
+                evaluate_fold(fold, kind, cfg)
+
 
 class TestSweep:
     def test_single_cell_matches_evaluate_fold(self):
@@ -367,7 +401,7 @@ class TestSolveHGivenW:
 
         H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, X.shape[1])))
         H_old = H
-        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._lipschitz_floor(X, M)))
+        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._check_observed(X, M)))
         for _ in range(cfg.max_outer):
             H, H_old = sv.update_H_block(X, W, H, M, var, state, H_old,
                                          cfg.max_inner_H, cfg.extrapolate)

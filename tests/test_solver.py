@@ -1,8 +1,11 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssmf import (
     BoundsVector,
@@ -304,6 +307,46 @@ class TestCentering:
         )
 
 
+@st.composite
+def centering_problems(draw):
+    """A full or sparse weighted mask with at least one cell, a rank, the
+    stopping and trace settings, and a seed for X."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        M = ObservationMask.full(m, n)
+    else:
+        flat = np.array(draw(st.lists(st.integers(0, m * n - 1), min_size=1,
+                                      max_size=m * n, unique=True)))
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=flat.size, max_size=flat.size))
+        M = ObservationMask(m, n, flat // n, flat % n, w)
+    config = SolverConfig(rank=draw(st.integers(1, min(m, n))), max_outer=15,
+                          max_inner_W=2, max_inner_H=2,
+                          rel_tol=draw(st.sampled_from([0.0, 1e-3])),
+                          record_trace=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    return M, config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCenteredSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(centering_problems())
+    def test_config_center_is_solve_centered(self, problem):
+        M, config, seed = problem
+        X = np.random.default_rng(seed).uniform(1, 5, size=(M.rows, M.cols))
+        var = ModelVariant.bssmf(BoundsVector.constant(M.rows, 1, 5))
+        f, rep = solve(X, M, var, replace(config, center=True))
+        f_c, rep_c = solve_centered(X, M, var, config)
+        assert np.array_equal(f.W, f_c.W) and np.array_equal(f.H, f_c.H)
+        assert rep.objective_trace == rep_c.objective_trace
+        assert rep.lipschitz_trace == rep_c.lipschitz_trace
+        assert (rep.stop_reason, rep.outer_iterations) == (rep_c.stop_reason,
+                                                           rep_c.outer_iterations)
+        assert rep.objective_trace[-1] == pytest.approx(objective(X, f.W, f.H, M),
+                                                        rel=1e-12, abs=1e-300)
+        for other in (ModelVariant.nmf(M.rows), ModelVariant.mf(M.rows)):
+            with pytest.raises(ConfigError, match="centering"):
+                solve(X, M, other, replace(config, center=True))
+
+
 class TestExtrapolationBenefit:
     def test_majority_of_seeds(self):
         rng = np.random.default_rng(12)
@@ -346,6 +389,26 @@ class TestSparseSolveMemory:
         finally:
             tracemalloc.stop()
         assert peak < cells_by_rank
+
+    def test_centered_peak_below_one_dense_array(self, monkeypatch):
+        """Centering shifts the observed values, so a sparse centered solve
+        allocates no m x n array."""
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 64 << 10)
+        m, n, r = 600, 800, 5
+        rng = np.random.default_rng(4)
+        rows, cols = np.nonzero(rng.uniform(size=(m, n)) < 0.02)
+        M = ObservationMask(m, n, rows, cols, np.ones(rows.size))
+        X = rng.uniform(1, 5, size=(m, n))
+        variant = ModelVariant.bssmf(BoundsVector.constant(m, 1.0, 5.0))
+        config = SolverConfig(rank=r, max_outer=2, max_inner_W=1, max_inner_H=1,
+                              rel_tol=0.0, record_trace=False)
+        tracemalloc.start()
+        try:
+            solve_centered(X, M, variant, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestObjectiveEvaluations:
