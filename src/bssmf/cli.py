@@ -81,6 +81,11 @@ def cmd_factorize(args):
                 extrapolate=not args.no_extrapolation, center=args.center, seed=seed,
             )
             factors, report = sv.solve(X, M, variant, config)
+            if report.stop_reason == "diverged":
+                return _fail(EXIT_NUMERICAL,
+                             f"solve diverged with seed {seed}: a step constant or the "
+                             f"objective overflowed after {report.outer_iterations} "
+                             f"outer iterations")
             final = report.objective_trace[-1]
             if best is None or final < best[2]:
                 best = (factors, report, final, config)

@@ -7,6 +7,7 @@ weight. Setting extrapolate=False recovers plain block coordinate descent
 (PALM), which is monotone.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -104,7 +105,7 @@ class SolveReport:
     outer_iterations: int = 0
     lipschitz_trace: list = field(default_factory=list)
     wall_time: float = 0.0
-    stop_reason: str = "max_iters"
+    stop_reason: str = "max_iters"  # or "tol_reached", "diverged"
 
 
 def initialize(X, M, variant, config):
@@ -195,6 +196,11 @@ def solve(X, M, variant, config):
 
     With rel_tol == 0 and record_trace off, only the first and last
     objectives are kept, so only those two are computed.
+
+    After each outer pass the step constants L_W, L_H and the objective, when
+    computed, must be finite. If one is not (finite data whose squares
+    overflow), the solve stops with stop_reason "diverged" and returns the
+    iterate before that pass; outer_iterations counts the finite passes.
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
@@ -233,6 +239,7 @@ def solve(X, M, variant, config):
     stop = "max_iters"
     outer = 0
     for outer in range(1, config.max_outer + 1):
+        W_prev, H_prev = W, H
         W, W_old = update_W_block(
             x_fit, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
         )
@@ -241,10 +248,17 @@ def solve(X, M, variant, config):
             x_fit, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
         )
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
+        f = mc.objective(x, uncenter(W), H, M) if every_pass else 0.0
+        if not (math.isfinite(sw.L) and math.isfinite(sh.L) and math.isfinite(f)):
+            # overflow: the next steps would be NaN, so keep the last finite pass
+            W, H = W_prev, H_prev
+            outer -= 1
+            stop = "diverged"
+            break
         ltrace.append((sw.L, sh.L))
         if not every_pass:
             continue
-        trace.append(mc.objective(x, uncenter(W), H, M))
+        trace.append(f)
         if config.rel_tol > 0 and len(trace) > 10:
             f_then, f_now = trace[-11], trace[-1]
             if f_then - f_now < config.rel_tol * max(f_then, 1e-300):

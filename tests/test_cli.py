@@ -76,6 +76,16 @@ class TestFactorize:
                      "--bounds", bounds]) == EXIT_NUMERICAL
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflow_exits_diverged(self, tmp_path, capsys):
+        # finite entries whose squares overflow stop the solve as diverged
+        p = tmp_path / "X.csv"
+        write_dense_csv(p, np.full((4, 3), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["factorize", "--input", str(p), "--rank", "2",
+                         "--bounds", "0:2e200", "--out-prefix", str(tmp_path / "o_")])
+        assert code == EXIT_NUMERICAL
+        assert "error: solve diverged" in capsys.readouterr().err
+
     def test_malformed_bounds_exit(self, example_csv, capsys):
         assert main(["factorize", "--input", example_csv, "--rank", "2",
                      "--bounds", "0:abc"]) == EXIT_CONFIG

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssmf.io_formats import (
     DataFormatError,
@@ -100,6 +103,50 @@ class TestDenseCSV:
         with pytest.raises(DataFormatError, match="non-finite"):
             read_dense_csv(p)
 
+    @pytest.mark.parametrize("text, row", [("1,2\n3\n", 2), ("1,2\n3,4\n5,6,7\n8\n", 3),
+                                           ("a,b\n1,2\n\n3,4,5\n", 2)])
+    def test_ragged_row_named(self, tmp_path, text, row):
+        # rows count nonblank lines after the header, 1-based
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=rf"ragged rows: row {row} has \d cells, row 1"):
+            read_dense_csv(p)
+
+    def test_cell_error_outranks_ragged_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1,2\n3\n4,x\n")
+        with pytest.raises(DataFormatError, match="non-numeric cell at row 3, column 2"):
+            read_dense_csv(p)
+
+    def test_line_of_spaces_is_a_row(self, tmp_path):
+        # a blank line is an empty one; a line of spaces is a row with one empty cell
+        p = tmp_path / "a.csv"
+        p.write_text("1,2\n\n3,4\n")
+        assert np.array_equal(read_dense_csv(p), [[1, 2], [3, 4]])
+        p.write_text("1,2\n  \n3,4\n")
+        with pytest.raises(DataFormatError, match="non-numeric cell at row 2, column 1"):
+            read_dense_csv(p)
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("\n\n", "empty file"),
+                                               ("a,b\n\n", "no data rows after the header")])
+    def test_no_rows(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read_dense_csv(p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(A=st.integers(1, 6).flatmap(lambda n: st.lists(
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+               min_size=1, max_size=6)),
+           header=st.booleans())
+    def test_round_trip_any_finite(self, tmp_path_factory, A, header):
+        A = np.array(A)
+        p = tmp_path_factory.mktemp("csv") / "a.csv"
+        write_dense_csv(p, A, header=[f"c{k}" for k in range(A.shape[1])] if header else None)
+        B = read_dense_csv(p)
+        assert B.dtype == np.float64 and np.array_equal(B, A)
+
 
 class TestMatrixMarket:
     def test_single_entry(self, tmp_path):
@@ -145,6 +192,56 @@ class TestMatrixMarket:
         p.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5.0\n{entry}\n")
         with pytest.raises(DataFormatError, match="non-integer index on entry line 2"):
             read_matrix_market(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("2 2 2\n1 1 5.0\n", r"bad entry line 2: the file ends after 1 of 2"),
+        ("2 2 1\n1 1 5.0\n2 2 3.0\n", r"entry line 2: more entries than the 1"),
+        ("2 2 2\n1 1 5.0\n2 2\n", r"bad entry line 2$"),
+        ("2 2 2\n1 1 5.0\n2 2 x\n", r"non-numeric cell at row 2, column 2: 'x'"),
+        ("2 2 2\n1 1 inf\n2 2 1\n", r"non-finite value at row 1, column 1"),
+        ("2 2 2\n1 1 1\n2 1_0 1\n", r"non-integer index on entry line 2: 2 1_0"),
+    ])
+    def test_bad_entry_named(self, tmp_path, body, message):
+        p = tmp_path / "a.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        with pytest.raises(DataFormatError, match=message):
+            read_matrix_market(p)
+
+    def test_comments_and_blank_entry_lines(self, tmp_path):
+        # comment lines before the size line; whitespace-only lines among the
+        # entries are skipped, as in the reference MatrixMarket reader
+        p = tmp_path / "a.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n% a\n%\n"
+                     "2 2 2\n 1  2 4.0\n\n  \n2\t1\t-1e-3\n\n")
+        X, M = read_matrix_market(p)
+        assert np.array_equal(X, [[0, 4], [-1e-3, 0]]) and M.nnz == 2
+
+    def test_no_entries(self, tmp_path):
+        p = tmp_path / "a.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n2 3 0\n\n")
+        X, M = read_matrix_market(p)
+        assert np.array_equal(X, np.zeros((2, 3))) and M.nnz == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6), full=st.booleans())
+    def test_round_trip_any_finite(self, tmp_path_factory, data, m, n, full):
+        X = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=m * n, max_size=m * n))).reshape(m, n)
+        if full:
+            M = ObservationMask.full(m, n)
+        else:
+            flat = np.array(data.draw(st.lists(st.integers(0, m * n - 1), unique=True,
+                                               max_size=m * n)), dtype=np.intp)
+            M = ObservationMask(m, n, flat // n, flat % n, np.ones(flat.size))
+            X[~np.isin(np.arange(m * n), flat).reshape(m, n)] = 0.0
+        p = tmp_path_factory.mktemp("mtx") / "a.mtx"
+        write_matrix_market(p, X, M)
+        X2, M2 = read_matrix_market(p)
+        assert X2.dtype == np.float64 and np.array_equal(X2, X)
+        rows, cols = ((np.repeat(np.arange(m), n), np.tile(np.arange(n), m)) if full
+                      else (M.row_idx, M.col_idx))
+        assert set(zip(M2.row_idx.tolist(), M2.col_idx.tolist())) == set(
+            zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()))
 
     def test_entries_in_file_order_scattered(self, tmp_path):
         p = tmp_path / "a.mtx"
@@ -201,6 +298,136 @@ class TestMovieLens:
         p.write_text("7::100::5::1\n9::100::3::2\n7::100::2::3\n")
         with pytest.raises(DataFormatError, match="duplicate rating for user 7, item 100"):
             read_movielens(p, "dat")
+
+
+def oracle_movielens(path, sep):
+    """Per-line reference for well-formed ratings files: universal newlines,
+    empty lines skipped, ids read as integers and keyed by str(id) in
+    first-seen order."""
+    users, items, values, user_map, item_map = [], [], [], {}, {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            u, i, v = line.split(sep)[:3]
+            users.append(user_map.setdefault(str(int(u)), len(user_map)))
+            items.append(item_map.setdefault(str(int(i)), len(item_map)))
+            values.append(float(v))
+    return (np.array(users, dtype=np.intp), np.array(items, dtype=np.intp),
+            np.array(values, dtype=np.float64), user_map, item_map)
+
+
+SEPARATORS = {"tsv": "\t", "dat": "::"}
+
+
+@st.composite
+def ratings_files(draw):
+    """Well-formed ratings text: random ids (dense, or sparse past the id table's
+    4n bound), padded id spellings, 3 or 4 fields, LF, CRLF or CR endings,
+    blank lines and an optional final newline."""
+    flavor = draw(st.sampled_from(sorted(SEPARATORS)))
+    top = draw(st.sampled_from([3, 50, 10**12]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                          min_size=1, max_size=40, unique=True))
+    width = draw(st.sampled_from([3, 4]))
+    spell = st.sampled_from(["{}", "0{}", "+{}", " {} "])
+    lines = []
+    for u, i in pairs:
+        lines += [""] * draw(st.integers(0, 2) if draw(st.booleans()) else st.just(0))
+        fields = [draw(spell).format(u), draw(spell).format(i),
+                  draw(st.sampled_from(["1", "2", "3", "4", "5", "3.5", "4.25", "1e0", " 2"]))]
+        if width == 4:
+            fields.append(str(draw(st.integers(-2**63, 2**63 - 1))))
+        lines.append(SEPARATORS[flavor].join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return flavor, text
+
+
+BASE_RATINGS = [("1", "10", "5", "1"), ("2", "10", "3", "2"), ("1", "20", "4", "3"),
+                ("3", "30", "2", "4"), ("2", "40", "1", "5")]
+BAD_RATINGS = {
+    "rating": ("4", "50", "x", "6"),
+    "non-finite rating": ("4", "50", "nan", "6"),
+    "timestamp": ("4", "50", "5", "t6"),
+    "user id": ("u4", "50", "5", "6"),
+    "negative item id": ("4", "-50", "5", "6"),
+    "fractional user id": ("4.0", "50", "5", "6"),
+    "short line": ("4", "50"),
+    "fifth field": ("4", "50", "5", "6", "7"),
+    "mixed field count": ("4", "50", "5"),
+}
+
+
+class TestMovieLensBulk:
+    @settings(max_examples=150, deadline=None)
+    @given(ratings_files())
+    def test_equals_per_line_oracle(self, tmp_path_factory, case):
+        flavor, text = case
+        p = tmp_path_factory.mktemp("ml") / "ratings"
+        p.write_bytes(text.encode())
+        ds = read_movielens(p, flavor)
+        users, items, values, user_map, item_map = oracle_movielens(p, SEPARATORS[flavor])
+        for got, want in ((ds.users, users), (ds.items, items), (ds.values, values)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert list(ds.user_map.items()) == list(user_map.items())
+        assert list(ds.item_map.items()) == list(item_map.items())
+        assert (ds.num_users, ds.num_items) == (len(user_map), len(item_map))
+
+    @pytest.mark.parametrize("flavor", sorted(SEPARATORS))
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("bad", sorted(BAD_RATINGS))
+    def test_bad_line_named(self, tmp_path, flavor, where, bad):
+        rows = list(BASE_RATINGS)
+        rows[where] = BAD_RATINGS[bad]
+        p = tmp_path / "ratings"
+        p.write_text("".join(SEPARATORS[flavor].join(r) + "\n" for r in rows))
+        # the first nonblank line sets the field count, so a 3-field first
+        # line makes line 2 the first that differs
+        line = 2 if bad == "mixed field count" and where == 0 else where + 1
+        kind = "non-finite rating at" if bad == "non-finite rating" else "malformed"
+        with pytest.raises(DataFormatError, match=rf"{kind} line {line}\b"):
+            read_movielens(p, flavor)
+
+    @pytest.mark.parametrize("line", ["1:x:10::5::1", "1::10:5::1", "1:10::5::1",
+                                      "1:::10::5::1", "1::10::5::1::", "1: :10::5::1"])
+    def test_stray_colon_rejected(self, tmp_path, line):
+        p = tmp_path / "ratings.dat"
+        p.write_text(f"2::10::5::1\n{line}\n3::10::4::2\n")
+        with pytest.raises(DataFormatError, match="malformed line 2"):
+            read_movielens(p, "dat")
+
+    def test_ids_are_integers(self, tmp_path):
+        # ids are integers: "07", "7" and "+7" name one user, keyed "7"
+        p = tmp_path / "ratings.dat"
+        p.write_text("07::100::5::1\n+7::200::3::2\n9::100::4::3\n")
+        ds = read_movielens(p, "dat")
+        assert ds.users.tolist() == [0, 0, 1] and ds.items.tolist() == [0, 1, 0]
+        assert ds.user_map == {"7": 0, "9": 1} and ds.item_map == {"100": 0, "200": 1}
+
+    @pytest.mark.parametrize("text, line", [
+        ("1\t10\t5\t1\t99\n", 1),       # a fifth field
+        ("1\t10\t5\n2\t10\t4\t7\n", 2),  # a field count that changes
+        ("1\t10\t5\n  \n", 2),            # a line of spaces is not blank
+        ("1\t10\t5\t\n", 1),              # a trailing tab adds an empty field
+    ])
+    def test_narrowed_grammar(self, tmp_path, text, line):
+        p = tmp_path / "u.data"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"malformed line {line}"):
+            read_movielens(p, "tsv")
+
+    @pytest.mark.parametrize("flavor", sorted(SEPARATORS))
+    @pytest.mark.parametrize("text", ["", "\n\n", "\r\n"])
+    def test_empty_file(self, tmp_path, flavor, text):
+        p = tmp_path / "ratings"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = read_movielens(p, flavor)
+        assert ds.users.size == ds.items.size == ds.values.size == 0
+        assert (ds.num_users, ds.num_items, ds.user_map, ds.item_map) == (0, 0, {}, {})
 
 
 class TestWriteFactors:

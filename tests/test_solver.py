@@ -226,16 +226,17 @@ class TestSolve:
     @pytest.mark.parametrize("solver", [solve, solve_centered])
     def test_overflowing_sum_of_squares_is_not_nonfinite(self, full, solver):
         # finite entries whose squares overflow: the one-pass sum of squares
-        # is inf, and the exact scan must still let them through (what the
-        # solve then does with them is not pinned here)
+        # is inf, and the exact scan must still let them through; the solve
+        # then stops as diverged on the last finite iterate
         X = np.full((4, 3), 1e200)
         M = (ObservationMask.full(4, 3) if full
              else ObservationMask(4, 3, [0, 1, 3], [0, 2, 1], np.ones(3)))
         var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 2e200))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("ignore")
-            _, report = solver(X, M, var, SolverConfig(rank=2, max_outer=2, seed=0))
-        assert report.outer_iterations == 2
+            f, report = solver(X, M, var, SolverConfig(rank=2, max_outer=2, seed=0))
+        assert report.stop_reason == "diverged"
+        assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H)) and feasible(f, var)
 
     @pytest.mark.parametrize("solver", [solve, solve_centered])
     def test_nan_in_unobserved_cell_ignored(self, solver):
