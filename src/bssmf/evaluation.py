@@ -184,8 +184,9 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
     report held-out RMSE.
 
     Training runs :func:`solver.solve` with config as given, so config.center
-    centers the training ratings, and centering a variant other than bssmf
-    raises ConfigError. Test-time adaptation is never centered.
+    takes the H step constant at W - c, c the mean training rating, and
+    centering a variant other than bssmf raises ConfigError. Test-time
+    adaptation is never centered.
     """
     cols = fold.M_known.cols
     known = fold.M_known.row_idx * cols + fold.M_known.col_idx

@@ -14,10 +14,12 @@ on a 1M-line ``ratings.dat``. When the bulk parse or a check rejects a file, the
 read once more line by line, only to name the first bad line (or row, or
 entry) in the error, as :class:`DataFormatError`.
 
-Every reader decodes UTF-8 with universal newlines (LF, CRLF or CR). A blank
-line is an empty one; a line of spaces is not blank. A number is a field
-that both numpy and Python read: ASCII, no ``_`` digit separators, spaces
-around it allowed, and an integer within int64.
+Every reader decodes UTF-8 with universal newlines (LF, CRLF or CR); a file
+that is not UTF-8 raises :class:`DataFormatError` naming the first line that
+is not (or an earlier bad line). A blank line is an empty one; a line of
+spaces is not blank. A number is a field that both numpy and Python read:
+ASCII, no ``_`` digit separators, spaces around it allowed, and an integer
+within int64.
 
 - ``read_dense_csv``: an optional header (the first nonblank line, when one of
   its comma-separated cells is not a number), then rows of comma-separated
@@ -52,9 +54,18 @@ class DataFormatError(ValueError):
 
 def _lines(path, skip=0):
     """(line number, line) for each line after the first ``skip``, without its
-    newline, split as ``np.loadtxt`` splits a path (universal newlines)."""
-    with open(path, "r", encoding="utf-8") as f:
+    newline, split as ``np.loadtxt`` splits a path (universal newlines).
+
+    Raises DataFormatError at the first line, skipped or not, that is not
+    UTF-8: undecodable bytes are kept as lone surrogates, which do not encode.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataFormatError(f"{path}: line {lineno} is not UTF-8") from None
             if lineno > skip:
                 yield lineno, line.rstrip("\n")
 
@@ -152,23 +163,23 @@ _MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 
 def _mm_header(path):
     """(m, n, nnz, lines before the entries, whether a nonblank line follows)."""
-    with open(path, "r", encoding="utf-8") as f:
-        banner = f.readline().strip()
-        if banner.lower() != MM_BANNER.lower():
-            raise DataFormatError(
-                f"{path}: unsupported MatrixMarket banner {banner!r} "
-                f"(only 'coordinate real general' is handled)"
-            )
-        skip = 2
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-            skip += 1
-        try:
-            m, n, nnz = (int(t) for t in line.split())
-        except ValueError:
-            raise DataFormatError(f"{path}: bad size line {line!r}") from None
-        return m, n, nnz, skip, any(rest.strip() for rest in f)
+    lines = (line for _, line in _lines(path))
+    banner = next(lines, "").strip()
+    if banner.lower() != MM_BANNER.lower():
+        raise DataFormatError(
+            f"{path}: unsupported MatrixMarket banner {banner!r} "
+            f"(only 'coordinate real general' is handled)"
+        )
+    skip = 2
+    line = next(lines, "")
+    while line.startswith("%"):
+        line = next(lines, "")
+        skip += 1
+    try:
+        m, n, nnz = (int(t) for t in line.split())
+    except ValueError:
+        raise DataFormatError(f"{path}: bad size line {line!r}") from None
+    return m, n, nnz, skip, any(rest.strip() for rest in lines)
 
 
 def read_matrix_market(path):
@@ -339,17 +350,24 @@ def config_hash(config):
 
 
 def write_factors(prefix, factors, report, config=None, variant=None, bounds=None):
-    """Emit <prefix>W.csv, <prefix>H.csv, <prefix>trace.csv, <prefix>meta.json."""
+    """Emit <prefix>W.csv, <prefix>H.csv, <prefix>trace.csv, <prefix>meta.json.
+
+    A report made with record_trace off keeps only the first and last
+    objectives and no step constants; its trace has the rows 0 and
+    outer_iterations, with empty L_W and L_H cells.
+    """
     write_dense_csv(f"{prefix}W.csv", factors.W)
     write_dense_csv(f"{prefix}H.csv", factors.H)
+    steps = report.lipschitz_trace
+    if len(steps) == len(report.objective_trace) - 1:  # one row per pass
+        iterations = range(len(report.objective_trace))
+    else:
+        iterations, steps = [0, report.outer_iterations], []
     with open(f"{prefix}trace.csv", "w", encoding="utf-8") as f:
         f.write("iteration,objective,L_W,L_H\n")
-        for k, obj in enumerate(report.objective_trace):
-            if k == 0:
-                f.write(f"0,{obj:.17g},,\n")
-            else:
-                lw, lh = report.lipschitz_trace[k - 1]
-                f.write(f"{k},{obj:.17g},{lw:.17g},{lh:.17g}\n")
+        for k, obj in zip(iterations, report.objective_trace):
+            cells = ",".join(f"{L:.17g}" for L in steps[k - 1]) if k and steps else ","
+            f.write(f"{k},{obj:.17g},{cells}\n")
     meta = {
         "outer_iterations": report.outer_iterations,
         "stop_reason": report.stop_reason,

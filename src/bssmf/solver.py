@@ -4,7 +4,8 @@ Alternates extrapolated projected-gradient passes on W and H with Lipschitz
 step sizes (1/||HH^T||_2 and 1/||W^T W||_2), Nesterov-style momentum counters
 shared across outer iterations, and a safeguard cap on the extrapolation
 weight. Setting extrapolate=False recovers plain block coordinate descent
-(PALM), which is monotone.
+(PALM), which is monotone. Centering (SolverConfig.center) only changes the
+H step constant; see solve.
 """
 
 import math
@@ -124,13 +125,14 @@ def initialize(X, M, variant, config):
     return FactorPair(W, H)
 
 
-def _check_observed(X, M, bounds=None):
+def _check_observed(X, M, bounds=None, c=0.0):
     """Raise on a non-finite observed entry of X; warn if one lies outside bounds.
 
     Returns the floor of the step constants L_W and L_H: 1e-12 times the mean
-    square of X over all m x n cells, and at least 1e-12. The sum of squares
-    takes one pass and no temporary: einsum, not x @ x, because a BLAS dot
-    wakes the BLAS worker threads, which then spin for about 0.1 s of CPU
+    square of X - c over all m x n cells, and at least 1e-12, where c is 0 or
+    the observed mean (then sum((x - c)^2) = sum(x^2) - nnz c^2). The sum of
+    squares takes one pass and no temporary: einsum, not x @ x, because a BLAS
+    dot wakes the BLAS worker threads, which then spin for about 0.1 s of CPU
     time after returning. A NaN or inf entry makes that sum non-finite, so
     the elementwise scan runs only when it is; it tells such an entry from
     finite entries whose squares overflow.
@@ -143,7 +145,7 @@ def _check_observed(X, M, bounds=None):
         lo, hi = M.row_extrema(X)
         if np.any(lo < bounds.lower) or np.any(hi > bounds.upper):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
-    return 1e-12 * max(1.0, sum_sq / (M.rows * M.cols))
+    return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols))
 
 
 class _BlockState:
@@ -187,12 +189,13 @@ def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
 def solve(X, M, variant, config):
     """Run the block-coordinate solver; returns (FactorPair, SolveReport).
 
-    With config.center set (bssmf variant only), the solver fits x - c, where
-    x are the observed values and c their mean, with bounds [a - c, b - c],
-    and returns W + c. Every column of H sums to one, so (W + c)H = WH + c
-    and the objective is unchanged; objectives are reported for W + c against
-    x. The shift applies to the values already gathered at the observed
-    cells, so on a sparse mask it costs O(nnz), not O(mn).
+    With config.center set (bssmf variant only), L_H is ||(W - c)^T (W - c)||_2
+    for c the mean of the observed values; data, bounds, start, objectives and
+    the returned W are the caller's own. This is the solve of x - c on
+    [a - c, b - c], shifted back: the columns of H sum to one, so the residual
+    and the W step are unchanged, and the H gradient changes by a constant
+    down each column, which simplex projection removes. On offset data the
+    c^2 m 11^T part of ||W^T W||_2 would make every H step tiny.
 
     With rel_tol == 0 and record_trace off, only the first and last
     objectives are kept, so only those two are computed.
@@ -205,20 +208,19 @@ def solve(X, M, variant, config):
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     config.validate(m, n)
-    x = x_fit = M.observed(X)  # gathered once; every kernel below takes it for X
+    x = M.observed(X)  # gathered once; every kernel below takes it for X
     c = 0.0
     if config.center:
         if variant.kind != BSSMF:
             raise ConfigError("centering requires the bounded simplex variant")
         if M.nnz == 0:
             raise ValueError("cannot center with an empty mask")
-        _check_observed(x, M)  # before the mean, which a NaN entry would make NaN
-        c = float(np.mean(x))
-        x_fit = x - c
-        variant = ModelVariant.bssmf(
-            BoundsVector(variant.bounds.lower - c, variant.bounds.upper - c))
-    floor = _check_observed(x_fit, M, variant.bounds if variant.kind == BSSMF else None)
-    uncenter = (lambda W: W + c) if config.center else (lambda W: W)
+        c = float(np.mean(x))  # the check below rejects a NaN or inf entry
+    floor = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None, c)
+
+    def lipschitz_H(W):
+        Wc = W - c if c else W
+        return max(mc.spectral_norm(Wc.T @ Wc), floor)
 
     factors = initialize(X, M, variant, config)
     report = SolveReport()
@@ -231,24 +233,22 @@ def solve(X, M, variant, config):
     W, H = factors.W, factors.H
     W_old, H_old = W, H
     sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
-    sh = _BlockState(max(mc.spectral_norm(W.T @ W), floor))
+    sh = _BlockState(lipschitz_H(W))
 
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [mc.objective(x, uncenter(W), H, M)]
+    trace = [mc.objective(x, W, H, M)]
     ltrace = []
     stop = "max_iters"
     outer = 0
     for outer in range(1, config.max_outer + 1):
         W_prev, H_prev = W, H
-        W, W_old = update_W_block(
-            x_fit, W, H, M, variant, sw, W_old, config.max_inner_W, config.extrapolate
-        )
-        sh.L = max(mc.spectral_norm(W.T @ W), floor)
-        H, H_old = update_H_block(
-            x_fit, W, H, M, variant, sh, H_old, config.max_inner_H, config.extrapolate
-        )
+        W, W_old = update_W_block(x, W, H, M, variant, sw, W_old,
+                                  config.max_inner_W, config.extrapolate)
+        sh.L = lipschitz_H(W)
+        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old,
+                                  config.max_inner_H, config.extrapolate)
         sw.L = max(mc.spectral_norm(H @ H.T), floor)
-        f = mc.objective(x, uncenter(W), H, M) if every_pass else 0.0
+        f = mc.objective(x, W, H, M) if every_pass else 0.0
         if not (math.isfinite(sw.L) and math.isfinite(sh.L) and math.isfinite(f)):
             # overflow: the next steps would be NaN, so keep the last finite pass
             W, H = W_prev, H_prev
@@ -265,18 +265,18 @@ def solve(X, M, variant, config):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(mc.objective(x, uncenter(W), H, M))
+        trace.append(mc.objective(x, W, H, M))
 
     report.objective_trace = trace if config.record_trace else [trace[0], trace[-1]]
     report.outer_iterations = outer
     report.lipschitz_trace = ltrace if config.record_trace else []
     report.wall_time = time.perf_counter() - t0
     report.stop_reason = stop
-    return FactorPair(uncenter(W), H), report
+    return FactorPair(W, H), report
 
 
 def solve_centered(X, M, variant, config):
-    """:func:`solve` with config.center set."""
+    """:func:`solve` with config.center set (L_H taken at W - mean(x))."""
     return solve(X, M, variant, replace(config, center=True))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bssmf.cli import (
     main,
 )
 from bssmf.io_formats import read_dense_csv, write_dense_csv
+from bssmf.matrixcore import ObservationMask, objective
 
 from conftest import EXAMPLE_H, EXAMPLE_W, EXAMPLE_X
 
@@ -115,6 +118,30 @@ class TestFactorize:
         p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 3.0\n")
         assert main(["factorize", "--input", str(p), "--rank", "1"]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
+
+    def test_centered_with_inferred_bounds(self, tmp_path):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(3.0, 7.0, size=(12, 10))  # offset data, where centering matters
+        p = tmp_path / "X.csv"
+        write_dense_csv(p, X)
+        prefix = str(tmp_path / "c_")
+        assert main(["factorize", "--input", str(p), "--rank", "3", "--center",
+                     "--bounds", "infer", "--outer", "40", "--rel-tol", "0",
+                     "--out-prefix", prefix]) == EXIT_OK
+        W, H = read_dense_csv(prefix + "W.csv"), read_dense_csv(prefix + "H.csv")
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        assert np.all(W >= lo[:, None]) and np.all(W <= hi[:, None])
+        meta = json.load(open(prefix + "meta.json"))
+        assert meta["center"] is True
+        assert (meta["bounds_lower"], meta["bounds_upper"]) == (lo.tolist(), hi.tolist())
+        assert meta["final_objective"] == pytest.approx(
+            objective(X, W, H, ObservationMask.full(*X.shape)), rel=1e-12)
+
+    def test_non_utf8_input_exit(self, tmp_path, capsys):
+        p = tmp_path / "X.csv"
+        p.write_bytes(b"1,2,3\n4,\xff,6\n")
+        assert main(["factorize", "--input", str(p), "--rank", "1"]) == EXIT_IO
+        assert f"{p}: line 2 is not UTF-8" in capsys.readouterr().err
 
     def test_reproducible_output(self, tmp_path, example_csv):
         p1, p2 = str(tmp_path / "a_"), str(tmp_path / "b_")
@@ -244,6 +271,14 @@ class TestComplete:
         assert code == EXIT_CONFIG
         assert "centering requires the bounded simplex variant" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
+
+    def test_non_utf8_ratings_exit(self, tmp_path, capsys):
+        p = tmp_path / "u.data"
+        p.write_bytes(b"1\t10\t5\t0\n2\t10\t\xff\t0\n")
+        code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "1",
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == EXIT_IO
+        assert f"{p}: line 2 is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line, message", [
         ("2\t10\t4\tabc", "line 2"),

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -430,6 +431,55 @@ class TestMovieLensBulk:
         assert (ds.num_users, ds.num_items, ds.user_map, ds.item_map) == (0, 0, {}, {})
 
 
+class TestNonUtf8:
+    """A file that is not UTF-8 raises DataFormatError naming the file and the
+    first line that is not, whether the reader's own head or the bulk parse
+    meets it first."""
+
+    @staticmethod
+    def _raises(path, line):
+        return pytest.raises(DataFormatError,
+                             match=re.escape(f"{path}: line {line} is not UTF-8"))
+
+    @pytest.mark.parametrize("body, line", [
+        (b"\xfe,2\n3,4\n", 1),
+        (b"1,2,3\n4,\xff,6\n7,8,9\n", 2),
+        (b"a,b,c\n1,2,3\n\xff,5,6\n", 3),
+        (b"1,2,3\n" * 3 + b"4,5,6\xff\n", 4),
+    ])
+    def test_dense_csv(self, tmp_path, body, line):
+        p = tmp_path / "X.csv"
+        p.write_bytes(body)
+        with self._raises(p, line):
+            read_dense_csv(p)
+
+    @pytest.mark.parametrize("body, line", [
+        (b"%%MatrixMarket matrix coordinate real general\xff\n1 1 1\n1 1 2\n", 1),
+        (b"%%MatrixMarket matrix coordinate real general\n% \xe9t\xe9\n1 1 1\n1 1 2\n", 2),
+        (b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2\n2 2 \xff\n", 4),
+    ])
+    def test_matrix_market(self, tmp_path, body, line):
+        p = tmp_path / "X.mtx"
+        p.write_bytes(body)
+        with self._raises(p, line):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize("flavor, sep", [("tsv", b"\t"), ("dat", b"::")])
+    @pytest.mark.parametrize("bad", [1, 2, 3])
+    def test_movielens(self, tmp_path, flavor, sep, bad):
+        rows = [sep.join([b"%d" % u, b"10", b"4", b"0"]) for u in (1, 2, 3)]
+        rows[bad - 1] = rows[bad - 1].replace(b"4", b"\xff")
+        p = tmp_path / "ratings"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        with self._raises(p, bad):
+            read_movielens(p, flavor)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        p = tmp_path / "X.csv"
+        p.write_text("\u00e9t\u00e9,b\n1,2\n", encoding="utf-8")
+        assert np.array_equal(read_dense_csv(p), [[1.0, 2.0]])
+
+
 class TestWriteFactors:
     def _solve_small(self):
         from bssmf.projections import BoundsVector
@@ -454,6 +504,32 @@ class TestWriteFactors:
         write_factors(prefix, f, rep, cfg, var, var.bounds)
         lines = open(prefix + "trace.csv").read().strip().splitlines()
         assert len(lines) - 1 == rep.outer_iterations + 1
+
+    def test_recorded_trace_rows(self, tmp_path):
+        f, rep, cfg, var = self._solve_small()
+        prefix = str(tmp_path / "out_")
+        write_factors(prefix, f, rep, cfg, var, var.bounds)
+        rows = [f"0,{rep.objective_trace[0]:.17g},,"]
+        rows += [f"{k},{obj:.17g},{lw:.17g},{lh:.17g}" for k, (obj, (lw, lh))
+                 in enumerate(zip(rep.objective_trace[1:], rep.lipschitz_trace), start=1)]
+        expected = "iteration,objective,L_W,L_H\n" + "".join(r + "\n" for r in rows)
+        assert open(prefix + "trace.csv").read() == expected
+
+    def test_trace_without_record(self, tmp_path):
+        """record_trace off keeps two objectives and no step constants."""
+        from bssmf.projections import BoundsVector
+        from bssmf.solver import ModelVariant, solve
+        X = np.random.default_rng(2).uniform(size=(8, 6))
+        var = ModelVariant.bssmf(BoundsVector.constant(8, 0, 1))
+        cfg = SolverConfig(rank=2, max_outer=5, rel_tol=0.0, seed=0, record_trace=False)
+        f, rep = solve(X, ObservationMask.full(8, 6), var, cfg)
+        assert len(rep.objective_trace) == 2 and rep.lipschitz_trace == []
+        prefix = str(tmp_path / "out_")
+        write_factors(prefix, f, rep, cfg, var, var.bounds)
+        first, last = rep.objective_trace
+        assert open(prefix + "trace.csv").read() == (
+            f"iteration,objective,L_W,L_H\n0,{first:.17g},,\n5,{last:.17g},,\n")
+        assert json.load(open(prefix + "meta.json"))["final_objective"] == last
 
     def test_meta_has_config_hash(self, tmp_path):
         f, rep, cfg, var = self._solve_small()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bssmf import (
@@ -18,7 +18,7 @@ from bssmf import (
 )
 import bssmf.matrixcore as mc
 from bssmf.matrixcore import objective
-from bssmf.solver import ConfigError, initialize
+from bssmf.solver import ConfigError, _check_observed, initialize
 
 from conftest import random_mask
 
@@ -276,8 +276,10 @@ class TestCentering:
         var = ModelVariant.bssmf(BoundsVector.constant(8, -2, 2))
         cfg = SolverConfig(rank=2, max_outer=8, rel_tol=0.0, seed=3)
         M = ObservationMask.full(8, 6)
-        f1, r1 = solve(X, M, var, cfg)
-        f2, r2 = solve_centered(X, M, var, cfg)
+        with pytest.warns(UserWarning, match="outside"):
+            f1, r1 = solve(X, M, var, cfg)
+        with pytest.warns(UserWarning, match="outside"):
+            f2, r2 = solve_centered(X, M, var, cfg)
         assert r1.objective_trace == r2.objective_trace
         assert np.array_equal(f1.W, f2.W) and np.array_equal(f1.H, f2.H)
 
@@ -348,7 +350,81 @@ class TestCenteredSolve:
                 solve(X, M, other, replace(config, center=True))
 
 
+def _close(a, b, scale):
+    return np.allclose(a, b, rtol=1e-10, atol=1e-10 * scale)
+
+
+class TestCenteringIsAStepRule:
+    """solve(center=True) is the solve of the shifted problem, shifted back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(centering_problems(), st.booleans(), st.booleans())
+    def test_matches_explicit_shifted_fit(self, problem, extrapolate, spill):
+        M, config, seed = problem
+        config = replace(config, extrapolate=extrapolate)
+        rng = np.random.default_rng(seed)
+        if spill:  # observed entries may fall just outside the bounds
+            X = rng.uniform(0.9, 5.1, size=(M.rows, M.cols))
+            lo, hi = np.ones(M.rows), np.full(M.rows, 5.0)
+        else:
+            X = rng.uniform(1.0, 5.0, size=(M.rows, M.cols))
+            lo, hi = rng.uniform(0.5, 1.0, M.rows), rng.uniform(5.0, 5.5, M.rows)
+        var = ModelVariant.bssmf(BoundsVector(lo, hi))
+        c = float(np.mean(M.observed(X)))
+        shifted = ModelVariant.bssmf(BoundsVector(lo - c, hi - c))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(X, M, var, config)
+            warned_plain = len(caught)
+            f, rep = solve(X, M, var, replace(config, center=True))
+            warned_centered = len(caught) - warned_plain
+            g, rep_g = solve(X - c, M, shifted, config)
+        assert all("outside" in str(w.message) for w in caught)
+        assert warned_centered == warned_plain <= 1
+        # at an exact fit the relative stopping test compares rounding errors
+        f0 = rep.objective_trace[0]
+        assume(min(rep.objective_trace[-1], rep_g.objective_trace[-1]) > 1e-20 * f0)
+
+        scale = float(np.max(np.abs(M.observed(X))))
+        assert _close(f.W, g.W + c, scale) and _close(f.H, g.H, 1.0)
+        assert (rep.stop_reason, rep.outer_iterations) == (rep_g.stop_reason,
+                                                           rep_g.outer_iterations)
+        assert len(rep.objective_trace) == len(rep_g.objective_trace)
+        assert _close(rep.objective_trace, rep_g.objective_trace, f0)
+        assert len(rep.lipschitz_trace) == len(rep_g.lipschitz_trace)
+        if rep.lipschitz_trace:
+            assert _close(rep.lipschitz_trace, rep_g.lipschitz_trace, 1e-12)
+
+    def test_floor_is_that_of_the_shifted_values(self):
+        rng = np.random.default_rng(6)
+        X = rng.uniform(40.0, 60.0, size=(30, 20))
+        M = random_mask(rng, 30, 20, density=0.5)
+        x = M.observed(X)
+        c = float(np.mean(x))
+        shifted = 1e-12 * np.sum((x - c) ** 2) / X.size
+        assert shifted > 1e-12
+        assert _check_observed(x, M, c=c) == pytest.approx(shifted, rel=1e-12)
+
+    def test_full_mask_peak_below_one_and_a_half_dense_arrays(self):
+        """The centered solve fits the caller's data: no shifted copy of X
+        (a full mask's observed values are X itself) and no W + c."""
+        m, n = 300, 400
+        rng = np.random.default_rng(5)
+        X = rng.uniform(1, 5, size=(m, n))
+        variant = ModelVariant.bssmf(BoundsVector.constant(m, 1.0, 5.0))
+        config = SolverConfig(rank=5, max_outer=3, max_inner_W=2, max_inner_H=2,
+                              rel_tol=0.0, seed=0)
+        tracemalloc.start()
+        try:
+            solve_centered(X, ObservationMask.full(m, n), variant, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
+
+
 class TestExtrapolationBenefit:
+    @pytest.mark.filterwarnings("ignore:observed entries outside")
     def test_majority_of_seeds(self):
         rng = np.random.default_rng(12)
         wins = 0
