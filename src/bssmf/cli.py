@@ -57,6 +57,8 @@ def _print_config(name, ns):
 
 
 def cmd_factorize(args):
+    if args.seed_sweep < 1:
+        return _fail(EXIT_CONFIG, f"--seed-sweep must be at least 1, got {args.seed_sweep}")
     try:
         X, M = _load_matrix(args.input)
     except (OSError, iof.DataFormatError) as e:
@@ -200,6 +202,8 @@ def cmd_synth(args):
 
 
 def cmd_center_demo(args):
+    if args.seeds < 1:
+        return _fail(EXIT_CONFIG, f"--seeds must be at least 1, got {args.seeds}")
     try:
         X, M = _load_matrix(args.input)
     except (OSError, iof.DataFormatError) as e:

@@ -225,8 +225,10 @@ def overfitting_sweep(dataset, spec, ranks, variants, seeds, max_outer=200,
     """Cross product of ranks x variants, mean +- std over seeds.
 
     Solver budget follows the recommender protocol: max_outer outer passes
-    with single inner iterations per block.
+    with single inner iterations per block. An empty seed list raises ValueError.
     """
+    if len(seeds) == 0:
+        raise ValueError("a sweep needs at least one seed, got none")
     fold = split(dataset, spec)
     reports = []
     for kind in variants:

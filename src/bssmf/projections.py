@@ -1,4 +1,4 @@
-"""Column-wise Euclidean projections onto a hyperrectangle and the simplex."""
+"""Column-wise Euclidean projections: a two-ufunc box clamp and a max-threshold simplex rule."""
 
 import itertools
 
@@ -50,14 +50,17 @@ def project_box(V, bounds):
     V = np.asarray(V, dtype=np.float64)
     if V.shape[0] != len(bounds):
         raise ShapeError(f"V has {V.shape[0]} rows, bounds have {len(bounds)}")
-    return np.clip(V, bounds.lower[:, None], bounds.upper[:, None])
+    P = np.maximum(V, bounds.lower[:, None])
+    return np.minimum(P, bounds.upper[:, None], out=P)
 
 
 def project_simplex_columns(V):
     """Euclidean projection of each column of V (r x n) onto the unit simplex.
 
-    Sort-based thresholding: sort descending, pick the largest k with
-    v_(k) - (sum of top k - 1)/k > 0, subtract that threshold, clip at 0.
+    Sort a column descending (s), with prefix sums c_k and g(k) = (c_k - 1)/k.
+    The sort rule's threshold is g(rho), rho the largest k with s_k > g(k). As
+    k g(k) = (k-1) g(k-1) + s_k, g rises at k exactly when s_k > g(k): on 1..rho
+    and never after, so tau = max_k g(k), and the result is max(v - tau, 0).
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim == 1:
@@ -65,14 +68,11 @@ def project_simplex_columns(V):
     r, n = V.shape
     if r == 1:
         return np.ones((1, n))
-    S = np.sort(V, axis=0)[::-1, :]
-    csum = np.cumsum(S, axis=0)
-    ks = np.arange(1, r + 1)[:, None]
-    cond = S - (csum - 1.0) / ks > 0
-    # largest k satisfying the strict inequality (k=1 always does)
-    k = r - np.argmax(cond[::-1, :], axis=0)
-    tau = (csum[k - 1, np.arange(n)] - 1.0) / k
-    return np.maximum(V - tau[None, :], 0.0)
+    G = np.cumsum(np.sort(V, axis=0)[::-1], axis=0)
+    G -= 1.0
+    G /= np.arange(1, r + 1)[:, None]
+    P = V - G.max(axis=0)
+    return np.maximum(P, 0.0, out=P)
 
 
 def simplex_projection_oracle(v):

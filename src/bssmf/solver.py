@@ -61,9 +61,11 @@ class ModelVariant:
         return cls(MF, BoundsVector.unbounded(m))
 
     def project_W(self, W):
-        if self.kind == MF:
-            return W
-        return project_box(W, self.bounds)
+        if self.kind == BSSMF:
+            return project_box(W, self.bounds)
+        if self.kind == NMF:
+            return np.maximum(W, 0.0)
+        return W
 
     def project_H(self, H):
         if self.kind == BSSMF:
@@ -158,20 +160,32 @@ class _BlockState:
 
     def beta(self, extrapolate):
         a0 = self.alpha
-        self.alpha = (1.0 + np.sqrt(1.0 + 4.0 * a0 * a0)) / 2.0
+        self.alpha = (1.0 + math.sqrt(1.0 + 4.0 * a0 * a0)) / 2.0
         if not extrapolate:
             return 0.0
-        return min((a0 - 1.0) / self.alpha, 0.9999 * np.sqrt(self.L_prev / self.L))
+        return min((a0 - 1.0) / self.alpha, 0.9999 * math.sqrt(self.L_prev / self.L))
 
 
 def _block_step(F, F_old, gradient, project, state, n_inner, extrapolate):
     """n_inner extrapolated projected-gradient steps on one factor block F;
-    gradient(F_bar) is the block gradient at the extrapolated point."""
+    gradient(F_bar) is the block gradient at the extrapolated point.
+
+    The arithmetic runs in place, but only on arrays made in this step: the
+    difference F - F_old and the array gradient returns, which is fresh on
+    every call. F, F_old and the gradient's own buffers are never written.
+    """
     for _ in range(n_inner):
         beta = state.beta(extrapolate)
-        F_bar = F + beta * (F - F_old) if beta != 0.0 else F
+        if beta != 0.0:
+            F_bar = F - F_old
+            F_bar *= beta
+            F_bar += F
+        else:
+            F_bar = F
         F_old = F
-        F = project(F_bar - gradient(F_bar) / state.L)
+        step = gradient(F_bar)
+        step /= state.L
+        F = project(np.subtract(F_bar, step, out=step))
         state.L_prev = state.L
     return F, F_old
 

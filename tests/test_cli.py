@@ -59,6 +59,15 @@ class TestFactorize:
             "--variant", "mf",
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_seed_sweep_exit(self, tmp_path, capsys, example_csv, count):
+        prefix = str(tmp_path / "none_")
+        code = main(["factorize", "--input", example_csv, "--rank", "2",
+                     "--seed-sweep", count, "--out-prefix", prefix])
+        assert code == EXIT_CONFIG
+        assert f"--seed-sweep must be at least 1, got {count}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("none_*"))
+
     def test_nonfinite_observed_entry_exit(self, monkeypatch, capsys):
         X = EXAMPLE_X / 4.0
         X[2, 3] = np.nan
@@ -240,6 +249,14 @@ class TestCenterDemo:
                           "centered_alg1", "centered_bcd",
                           "uneven_alg1", "uneven_bcd"]
 
+    def test_zero_seeds_exit(self, tmp_path, capsys, example_csv):
+        out = tmp_path / "demo.csv"
+        code = main(["center-demo", "--input", example_csv, "--rank", "2",
+                     "--seeds", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestComplete:
     def test_tiny_ratings_sweep(self, tmp_path):
@@ -270,6 +287,18 @@ class TestComplete:
                      "--out", str(tmp_path / "eval.csv")])
         assert code == EXIT_CONFIG
         assert "centering requires the bounded simplex variant" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_seeds_exit(self, tmp_path, capsys, count):
+        p = tmp_path / "u.data"
+        p.write_text("".join(f"{u}\t{i}\t{1 + (u + i) % 5}\t0\n"
+                             for u in range(1, 9) for i in range(1, 6)))
+        code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "1",
+                     "--seeds", count, "--split-test-users", "2",
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == EXIT_CONFIG
+        assert "a sweep needs at least one seed, got none" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
 
     def test_non_utf8_ratings_exit(self, tmp_path, capsys):

@@ -361,6 +361,13 @@ class TestSweep:
                                     max_outer=10)
         assert len(reports) == 4
 
+    def test_empty_seeds_rejected(self):
+        rng = np.random.default_rng(8)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, num_items=15, per_user=10)
+        spec = SplitSpec(test_user_count=4, min_ratings_per_item=1, seed=5)
+        with pytest.raises(ValueError, match="at least one seed"):
+            overfitting_sweep(ds, spec, [2], ["mf"], [], max_outer=10)
+
     def test_single_seed_zero_std(self):
         rng = np.random.default_rng(8)
         ds, _, _ = synthetic_ratings(rng, num_users=20, num_items=15, per_user=10)

@@ -341,6 +341,22 @@ class TestBlockGradient:
             want = (W @ H)[rows, cols]
             assert product_at(W, H, rows, cols) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(gradient_problems())
+    def test_result_is_fresh_on_every_call(self, problem):
+        """The solver's step divides and subtracts in the gradient it gets
+        back, so that array must be no buffer the gradient keeps."""
+        M, r, seed = problem
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(M.rows, M.cols))
+        W, H = rng.uniform(size=(M.rows, r)), rng.uniform(size=(r, M.cols))
+        for grad, A in ((block_gradient(X, H, M, "W"), W), (block_gradient(X, W, M, "H"), H)):
+            first = grad(A)
+            want = first.copy()
+            first[...] = np.nan
+            assert np.array_equal(grad(A), want)
+            assert np.all(np.isnan(first))  # the second call wrote elsewhere
+
     def test_rejects_bad_side_and_shapes(self):
         X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
         with pytest.raises(ValueError, match="side"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssmf.matrixcore import ShapeError
 from bssmf.projections import (
@@ -8,6 +10,73 @@ from bssmf.projections import (
     project_simplex_columns,
     simplex_projection_oracle,
 )
+from bssmf.solver import ModelVariant
+
+
+def sort_argmax_rule(v):
+    """Threshold of one column by the sort rule as it was written before the
+    threshold became a max: tau = g(k) for the largest k with s_k - g(k) > 0,
+    found by an argmax over the reversed test. Returns tau and the prefix sums."""
+    s = np.sort(v)[::-1]
+    c = np.cumsum(s)
+    g = (c - 1.0) / np.arange(1, v.size + 1)
+    k = v.size - np.argmax((s - g > 0)[::-1])
+    return g[k - 1], c
+
+
+@st.composite
+def simplex_inputs(draw):
+    """r x n columns, all free, all tied or all on the simplex, each shifted by
+    one offset of up to 1e6 in size."""
+    r, n = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["free", "ties", "on simplex"]))
+    if kind == "free":
+        cells = st.floats(-10, 10)
+    elif kind == "ties":
+        cells = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    else:
+        cells = st.floats(0, 1)
+    V = np.array(draw(st.lists(cells, min_size=r * n, max_size=r * n))).reshape(r, n)
+    if kind == "on simplex":
+        V[:, V.sum(axis=0) == 0] = 1.0  # an all-zero column becomes the centre
+        V /= V.sum(axis=0)
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]) | st.floats(-1e6, 1e6))
+    return V + offset
+
+
+class TestBitIdentity:
+    """The two-ufunc clamp equals np.clip, and the nmf W projection the clamp at 0."""
+
+    bound_kinds = st.sampled_from(["finite", "degenerate", "no lower", "no upper", "unbounded"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 5))
+    def test_project_box_equals_clip(self, data, m, r):
+        lower, upper = np.empty(m), np.empty(m)
+        for i in range(m):
+            a, b = sorted(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+            kind = data.draw(self.bound_kinds)
+            if kind == "degenerate":
+                b = a
+            lower[i] = -np.inf if kind in ("no lower", "unbounded") else a
+            upper[i] = np.inf if kind in ("no upper", "unbounded") else b
+        cells = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0])
+        V = np.array(data.draw(st.lists(cells, min_size=m * r, max_size=m * r))).reshape(m, r)
+        got = project_box(V, BoundsVector(lower, upper))
+        want = np.clip(V, lower[:, None], upper[:, None])
+        assert np.array_equal(got, want, equal_nan=True)
+        # bit for bit, NaN payloads included, except the sign of a zero: on a
+        # tie np.clip keeps either operand depending on the loop it runs
+        same_bits = got.view(np.int64) == want.view(np.int64)
+        assert np.all(same_bits | (want == 0))
+
+    def test_nmf_project_W_is_maximum_with_zero(self):
+        rng = np.random.default_rng(7)
+        W = rng.standard_normal((6, 4))
+        W[0, :] = [np.nan, -0.0, np.inf, -np.inf]
+        got = ModelVariant.nmf(6).project_W(W)
+        assert got.tobytes() == np.maximum(W, 0.0).tobytes()
+        assert got.tobytes() == project_box(W, BoundsVector.nonnegative(6)).tobytes()
 
 
 class TestBoundsVector:
@@ -110,6 +179,51 @@ class TestSimplexProjection:
             p1 = project_simplex_columns(v[:, None])[:, 0]
             p2 = project_simplex_columns((v + c)[:, None])[:, 0]
             assert np.allclose(p1, p2, atol=1e-12)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_inputs())
+    def test_matches_oracle_property(self, V):
+        """The oracle picks its support by comparing squared distances d, so it
+        finds the projection only to within sqrt(64 r eps d); it runs on
+        v - max(v), which has the same projection up to the rounding of the
+        shift, so that d stays small whatever the offset."""
+        P = project_simplex_columns(V)
+        r = V.shape[0]
+        rounding = 4 * r * np.spacing(max(1.0, float(np.max(np.abs(V)))))
+        assert P.min() >= 0.0
+        assert np.all(np.abs(P.sum(axis=0) - 1.0) <= r * rounding)
+        for j in range(V.shape[1]):
+            u = V[:, j] - V[:, j].max()
+            want = simplex_projection_oracle(u)
+            d = max(1.0, float(np.sum((want - u) ** 2)))
+            atol = np.sqrt(64 * r * np.finfo(float).eps * d) + rounding
+            assert np.allclose(P[:, j], want, rtol=0, atol=atol)
+
+    @settings(max_examples=500, deadline=None)
+    @given(simplex_inputs())
+    def test_max_threshold_matches_sort_argmax_rule(self, V):
+        """Column by column, the output is what the sort-and-argmax threshold
+        gives when the two thresholds agree to within 4 ulps of the largest
+        prefix sum. Both are entries of the same array (c_k - 1)/k; near
+        c_k = 1 that subtraction cancels, so the ulps of tau itself are no
+        measure of the rounding in it."""
+        P = project_simplex_columns(V)
+        for j in range(V.shape[1]):
+            v = V[:, j]
+            tau, c = sort_argmax_rule(v)
+            d = 4 * np.spacing(np.max(np.abs(c)))
+            tol = d + np.spacing(np.abs(v - tau) + d)
+            assert np.all(np.abs(P[:, j] - np.maximum(v - tau, 0.0)) <= tol), (v, tau)
+
+    def test_nan_column_gives_nan(self):
+        rng = np.random.default_rng(8)
+        V = rng.uniform(-2, 2, size=(4, 3))
+        V[1, 1] = np.nan
+        P = project_simplex_columns(V)
+        assert np.all(np.isnan(P[:, 1]))
+        for j in (0, 2):
+            assert np.array_equal(P[:, j], project_simplex_columns(V[:, j]))
 
 
 class TestOracle:

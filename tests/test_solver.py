@@ -563,3 +563,63 @@ class TestPredict:
         H = np.array([[1.0]])
         with pytest.raises(ValueError, match="escapes"):
             predict_cells(W, H, [0], [0], bounds=BoundsVector.constant(1, 0, 1))
+
+
+class TestInnerStep:
+    def test_momentum_weights_match_numpy_sqrt_formula(self):
+        """math.sqrt and np.sqrt round alike, so 1000 steps give the same weights."""
+        from bssmf.solver import _BlockState
+
+        def numpy_beta(state, extrapolate):
+            a0 = state.alpha
+            state.alpha = (1.0 + np.sqrt(1.0 + 4.0 * a0 * a0)) / 2.0
+            if not extrapolate:
+                return 0.0
+            return min((a0 - 1.0) / state.alpha, 0.9999 * np.sqrt(state.L_prev / state.L))
+
+        rng = np.random.default_rng(16)
+        Ls = np.exp(rng.uniform(-8, 8, size=1000))
+        for extrapolate in (True, False):
+            ours, ref = _BlockState(Ls[0]), _BlockState(Ls[0])
+            for L in Ls:
+                for state in (ours, ref):
+                    state.L = float(L)
+                assert ours.beta(extrapolate) == numpy_beta(ref, extrapolate)
+                assert ours.alpha == ref.alpha
+                for state in (ours, ref):
+                    state.L_prev = state.L
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_writes_no_caller_array(self, sparse):
+        """The in-place step arithmetic writes only arrays it made: read-only
+        data, factors and previous iterates go through every entry point."""
+        from bssmf.evaluation import solve_h_given_w
+        from bssmf.projections import project_simplex_columns
+        from bssmf.solver import _BlockState, update_H_block, update_W_block
+
+        rng = np.random.default_rng(17)
+        m, n, r = 11, 9, 3
+        X = rng.uniform(1, 5, size=(m, n))
+        M = random_mask(rng, m, n, density=0.6, weighted=True) if sparse \
+            else ObservationMask.full(m, n)
+        W, W_old = rng.uniform(1, 5, size=(m, r)), rng.uniform(1, 5, size=(m, r))
+        H = project_simplex_columns(rng.uniform(size=(r, n)))
+        H_old = project_simplex_columns(rng.uniform(size=(r, n)))
+        arrays = (X, W, W_old, H, H_old)
+        copies = [A.copy() for A in arrays]
+        for A in arrays:
+            A.flags.writeable = False
+        for kind in ("bssmf", "nmf", "mf"):
+            var = ModelVariant.from_kind(kind, BoundsVector.constant(m, 1.0, 5.0))
+            cfg = SolverConfig(rank=r, max_outer=3, max_inner_W=2, max_inner_H=2,
+                               rel_tol=0.0, seed=1)
+            solve(X, M, var, cfg)
+            if kind == "bssmf":
+                solve_centered(X, M, var, cfg)
+            for F_old in (W_old, W):  # a previous iterate, or F itself
+                update_W_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
+            for F_old in (H_old, H):
+                update_H_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
+            solve_h_given_w(X, M, W, var, cfg)
+        for A, before in zip(arrays, copies):
+            assert np.array_equal(A, before)
