@@ -1,11 +1,12 @@
 """Uniqueness diagnostics: scatteredness checks, column matching scores,
-gauge-transform witnesses, and synthetic ground-truth generation."""
+gauge-transform witnesses, and synthetic ground-truth generation.
 
-import itertools
+Column matching solves its r x r assignment with :func:`_assignment`, an
+exact Kuhn-Munkres routine in numpy, so this module needs no scipy."""
+
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .matrixcore import ShapeError
 
@@ -91,8 +92,55 @@ class MatchReport:
     mean_mrsa: float
 
 
+def _assignment(cost):
+    """Exact minimum-cost assignment of a square cost matrix: the column
+    matched to each row.
+
+    Kuhn-Munkres with dual potentials u (rows) and v (columns), in
+    shortest-augmenting-path form (Jonker and Volgenant): each row in turn
+    grows a Dijkstra tree over the reduced costs cost[i, j] - u[i] - v[j]
+    until it reaches a free column, then the matching is flipped along that
+    path. Column 0 is a virtual one of infinite cost that holds the row
+    being inserted; column j + 1 is cost[:, j]. O(r^3), with the scan over
+    columns done by numpy."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"assignment needs a square cost matrix, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("assignment cost has a non-finite entry")
+    r = cost.shape[0]
+    cost = np.hstack((np.full((r, 1), np.inf), cost))
+    u, v = np.zeros(r), np.zeros(r + 1)
+    owner = np.full(r + 1, -1)  # row matched to each column, -1 if free
+    via = np.zeros(r + 1, dtype=np.intp)  # previous column on the shortest path
+    for i in range(r):
+        owner[0], j = i, 0
+        dist = np.full(r + 1, np.inf)
+        done = np.zeros(r + 1, dtype=bool)
+        while owner[j] != -1:
+            done[j] = True
+            k = owner[j]
+            reduced = cost[k] - u[k] - v
+            closer = ~done & (reduced < dist)
+            dist[closer], via[closer] = reduced[closer], j
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[j]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while j:
+            owner[j] = owner[via[j]]
+            j = via[j]
+    cols = np.empty(r, dtype=np.intp)
+    cols[owner[1:]] = np.arange(r)
+    return cols
+
+
 def match_and_score(W_true, W_est):
-    """Optimal column matching (exact assignment) under the MRSA cost."""
+    """Optimal column matching under the MRSA cost: column i of W_true is
+    matched to column permutation[i] of W_est by the exact assignment of
+    :func:`_assignment`. A NaN column in either matrix makes the cost NaN,
+    which raises ValueError."""
     W_true = np.asarray(W_true, dtype=np.float64)
     W_est = np.asarray(W_est, dtype=np.float64)
     if W_true.shape != W_est.shape:
@@ -102,8 +150,7 @@ def match_and_score(W_true, W_est):
     for i in range(r):
         for j in range(r):
             cost[i, j] = mrsa(W_true[:, i], W_est[:, j])
-    rows, cols = linear_sum_assignment(cost)
-    perm = [int(cols[np.flatnonzero(rows == i)[0]]) for i in range(r)]
+    perm = _assignment(cost).tolist()
     per_col = [float(cost[i, perm[i]]) for i in range(r)]
     return MatchReport(perm, per_col, float(np.mean(per_col)))
 
@@ -192,17 +239,3 @@ def ssc_grid_experiment(cells, tol_zero=1e-9):
         rows.append((*key, passed / len(mats)))
     return rows
 
-
-def brute_force_assignment(cost):
-    """All-permutations minimum of an r x r assignment (test oracle, r <= 8)."""
-    cost = np.asarray(cost)
-    r = cost.shape[0]
-    if r > 8:
-        raise ValueError("brute force limited to r <= 8")
-    best = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(r)):
-        c = sum(cost[i, perm[i]] for i in range(r))
-        if c < best:
-            best, best_perm = c, perm
-    return best, list(best_perm)

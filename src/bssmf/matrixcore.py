@@ -24,10 +24,13 @@ H.
 Wherever a kernel takes the data X, it also takes the observed values
 ``M.observed(X)`` in their place, so a caller that evaluates many times can
 gather them once.
+
+scipy is imported only where a sparse mask is built: its CSC pattern is the
+one scipy object here, and the kernels that return or multiply by a sparse
+matrix make theirs from it. A full-mask run loads no scipy module.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 _BLOCK_BYTES = 4 << 20  # size of the product buffer of one column block
 
@@ -90,6 +93,8 @@ class ObservationMask:
         self.weights = weights[order]
         self._flat = self.row_idx * cols + self.col_idx  # row-major offsets
         indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
+        import scipy.sparse as sp  # loaded by the first sparse mask only
+
         self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
         self._w2 = self.weights**2
         self._plan = _BlockPlan(rows, cols, self.row_idx, self.col_idx)
@@ -207,9 +212,10 @@ def _residual(X, W, H, M):
 
 
 def _on_pattern(M, vals):
-    """CSC matrix with the values vals (canonical order) on M's cells."""
+    """CSC matrix with the values vals (canonical order) on M's cells; it is
+    of the pattern's class, so scipy.sparse is already loaded."""
     P = M._pattern
-    return sp.csc_matrix((vals, P.indices, P.indptr), shape=P.shape)
+    return type(P)((vals, P.indices, P.indptr), shape=P.shape)
 
 
 def masked_residual(X, W, H, M):

@@ -78,6 +78,13 @@ def project_simplex_columns(V):
 def simplex_projection_oracle(v):
     """Brute-force simplex projection by enumerating all nonempty support sets.
 
+    A support S gives the threshold tau = (sum(v_S) - 1)/|S| and the point
+    max(v - tau, 0) on S. It is the projection exactly when its KKT
+    violation max(tau - min(v_S), max(v off S) - tau, 0) is 0, so the oracle
+    returns the point of the support with the smallest violation. That
+    figure is defined for every support, and unlike the distance to v it
+    does not round away the difference between nearby candidates.
+
     Test oracle only; refuses r > 12.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -85,20 +92,15 @@ def simplex_projection_oracle(v):
     if r > 12:
         raise ValueError(f"oracle limited to r <= 12, got {r}")
     best = None
-    best_dist = np.inf
+    best_violation = np.inf
     for size in range(1, r + 1):
         for support in itertools.combinations(range(r), size):
-            idx = list(support)
-            # minimize ||x - v||^2 over x supported on idx with sum(x) = 1:
-            # x_i = v_i - (sum(v_idx) - 1)/|idx|
-            shift = (v[idx].sum() - 1.0) / size
-            x_sub = v[idx] - shift
-            if np.any(x_sub < -1e-12):
-                continue
-            x = np.zeros(r)
-            x[idx] = np.maximum(x_sub, 0.0)
-            d = float(np.sum((x - v) ** 2))
-            if d < best_dist:
-                best_dist = d
-                best = x
+            on = np.zeros(r, dtype=bool)
+            on[list(support)] = True
+            tau = (v[on].sum() - 1.0) / size
+            off = v[~on].max() if size < r else -np.inf
+            violation = max(tau - v[on].min(), off - tau, 0.0)
+            if violation < best_violation:
+                best_violation = violation
+                best = np.where(on, np.maximum(v - tau, 0.0), 0.0)
     return best

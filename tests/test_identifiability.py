@@ -3,7 +3,6 @@ import pytest
 
 from bssmf.identifiability import (
     SyntheticSpec,
-    brute_force_assignment,
     generate_synthetic,
     match_and_score,
     mrsa,
@@ -17,6 +16,7 @@ from bssmf.identifiability import (
 from bssmf.projections import BoundsVector, project_simplex_columns
 
 from conftest import EXAMPLE_H, EXAMPLE_W
+from oracles import brute_force_assignment
 
 
 class TestSSCNecessaryCheck:
