@@ -1,5 +1,6 @@
-"""Uniqueness diagnostics: scatteredness checks, column matching scores,
-gauge-transform witnesses, and synthetic ground-truth generation.
+"""Uniqueness diagnostics: the scatteredness check, the Theorem 3 stack,
+column matching scores, the gauge-transform witness, and synthetic
+ground-truth generation.
 
 Column matching solves its r x r assignment with :func:`_assignment`, an
 exact Kuhn-Munkres routine in numpy, so this module needs no scipy."""
@@ -62,11 +63,6 @@ def stack_for_theorem3(W, bounds):
     if np.any(W < a - 1e-12) or np.any(W > b + 1e-12):
         raise ValueError("W has columns outside [a, b]")
     return np.vstack([W - a, b - W])
-
-
-def unstack_theorem3(S, bounds):
-    m = len(bounds)
-    return S[:m, :] + bounds.lower[:, None]
 
 
 def mrsa(u, v):
@@ -155,19 +151,6 @@ def match_and_score(W_true, W_est):
     return MatchReport(perm, per_col, float(np.mean(per_col)))
 
 
-def scaling_ambiguity_check(H, D):
-    """Whether e^T (D H) = e^T for a row scaling D of a full-row-rank
-    column-stochastic H; holds iff D is the identity."""
-    H = np.asarray(H, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    r = H.shape[0]
-    if np.linalg.matrix_rank(H) < r:
-        raise ValueError("H must have full row rank")
-    d = np.diag(D) if D.ndim == 2 else D
-    row_sums = d @ H
-    return bool(np.allclose(row_sums, np.ones(H.shape[1]), atol=1e-9))
-
-
 def ssmf_gauge_transform(W, H, alpha):
     """The explicit non-uniqueness witness for simplex-structured models:
     W(alpha) = W((1+alpha)I - (alpha/r)J),
@@ -225,17 +208,3 @@ def generate_synthetic(spec):
         vals = rng.integers(0, 2, size=n_pin).astype(np.float64)
         W.ravel()[flat] = vals
     return W, H, W @ H
-
-
-def ssc_grid_experiment(cells, tol_zero=1e-9):
-    """Pass-ratio table: cells maps a grid key (tuple) to a list of factor
-    matrices; returns [(key..., ratio)] rows for CSV emission."""
-    rows = []
-    for key, mats in sorted(cells.items()):
-        if not mats:
-            rows.append((*key, 0.0))
-            continue
-        passed = sum(1 for A in mats if ssc_necessary_check(A, tol_zero).overall_pass)
-        rows.append((*key, passed / len(mats)))
-    return rows
-

@@ -1,8 +1,8 @@
-"""Readers and writers: dense CSV, MatrixMarket coordinate, MovieLens ratings,
-and factor/trace/metadata artifacts.
+"""Readers of dense CSV, MatrixMarket coordinate and MovieLens ratings files;
+writers of dense CSV and of factor/trace/metadata artifacts.
 
-Indices are 1-based on disk for MatrixMarket and 0-based everywhere in memory;
-the conversion happens only here.
+MatrixMarket indices are 1-based on disk and 0-based everywhere in memory;
+the reader converts them.
 
 Each reader parses the body of its file in one ``np.loadtxt`` call, numpy's
 C tokenizer with one dtype per column, and checks the result with array
@@ -232,18 +232,6 @@ def _bad_mm_entry(path, skip, m, n, nnz):
     if k < nnz:
         return f"bad entry line {k + 1}: the file ends after {k} of {nnz} entries"
     return None
-
-
-def write_matrix_market(path, X, M):
-    # zero-copy (m, n) views of the row and column numbers
-    grids = (np.broadcast_to(g, X.shape) for g in np.indices(X.shape, sparse=True))
-    ri, ci = (M.observed(g).ravel() for g in grids)
-    vals = M.observed(X).ravel()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(MM_BANNER + "\n")
-        f.write(f"{X.shape[0]} {X.shape[1]} {vals.size}\n")
-        f.writelines(map("%d %d %.17g\n".__mod__,
-                         zip((ri + 1).tolist(), (ci + 1).tolist(), vals.tolist())))
 
 
 _RATING_FIELDS = [("user", np.int64), ("item", np.int64), ("rating", np.float64),

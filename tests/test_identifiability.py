@@ -6,12 +6,9 @@ from bssmf.identifiability import (
     generate_synthetic,
     match_and_score,
     mrsa,
-    scaling_ambiguity_check,
-    ssc_grid_experiment,
     ssc_necessary_check,
     ssmf_gauge_transform,
     stack_for_theorem3,
-    unstack_theorem3,
 )
 from bssmf.projections import BoundsVector, project_simplex_columns
 
@@ -62,7 +59,8 @@ class TestStacking:
         W = rng.uniform(1, 5, size=(5, 3))
         b = BoundsVector.constant(5, 1, 5)
         S = stack_for_theorem3(W, b)
-        assert np.array_equal(unstack_theorem3(S, b), W)
+        assert np.array_equal(S[:5] + b.lower[:, None], W)
+        assert np.array_equal(b.upper[:, None] - S[5:], W)
         assert S.min() >= 0
 
     def test_infeasible_w_rejected(self):
@@ -140,39 +138,6 @@ class TestMatchAndScore:
             match_and_score(np.ones((3, 2)), np.ones((4, 2)))
 
 
-class TestScalingAmbiguity:
-    def _stochastic_full_rank(self, rng, r, n):
-        H = project_simplex_columns(rng.uniform(size=(r, n)))
-        while np.linalg.matrix_rank(H) < r:
-            H = project_simplex_columns(rng.uniform(size=(r, n)))
-        return H
-
-    def test_identity_passes(self):
-        rng = np.random.default_rng(7)
-        H = self._stochastic_full_rank(rng, 3, 8)
-        assert scaling_ambiguity_check(H, np.eye(3))
-
-    def test_nonidentity_fails(self):
-        rng = np.random.default_rng(8)
-        H = self._stochastic_full_rank(rng, 3, 8)
-        D = np.diag([2.0, 1.0, 1.0])
-        assert not scaling_ambiguity_check(H, D)
-
-    def test_random_sampling(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            r = int(rng.integers(2, 5))
-            H = self._stochastic_full_rank(rng, r, r + 4)
-            d = 1.0 + rng.uniform(-0.5, 0.5, size=r)
-            if np.max(np.abs(d - 1.0)) > 1e-8:
-                assert not scaling_ambiguity_check(H, np.diag(d))
-
-    def test_rank_deficient_rejected(self):
-        H = np.vstack([np.full((1, 4), 0.5), np.full((1, 4), 0.5)])
-        with pytest.raises(ValueError):
-            scaling_ambiguity_check(H, np.eye(2))
-
-
 class TestGaugeTransform:
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(10)
@@ -223,15 +188,3 @@ class TestGenerateSynthetic:
         W, _, _ = generate_synthetic(spec)
         pinned = int(np.sum((W == 0) | (W == 1)))
         assert abs(pinned - 0.30 * 50 * 6) <= 1
-
-
-class TestGridExperiment:
-    def test_all_passing(self):
-        cells = {(100, 3): [EXAMPLE_H, EXAMPLE_H]}
-        rows = ssc_grid_experiment(cells)
-        assert rows == [(100, 3, 1.0)]
-
-    def test_all_failing(self):
-        dense = np.full((3, 6), 0.2)
-        rows = ssc_grid_experiment({(1, 1): [dense, dense, dense]})
-        assert rows == [(1, 1, 0.0)]

@@ -15,10 +15,11 @@ from bssmf.io_formats import (
     read_movielens,
     write_dense_csv,
     write_factors,
-    write_matrix_market,
 )
 from bssmf.matrixcore import ObservationMask
 from bssmf.solver import SolverConfig
+
+from oracles import write_matrix_market
 
 
 # values whose %.17g text is easy to get wrong: signed zero, NaN, infinities,

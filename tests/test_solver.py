@@ -18,6 +18,7 @@ from bssmf import (
 )
 import bssmf.matrixcore as mc
 from bssmf.matrixcore import objective
+from bssmf.preprocessing import infer_bounds
 from bssmf.solver import ConfigError, _check_observed, initialize
 
 from conftest import random_mask
@@ -124,6 +125,22 @@ class TestSolve:
         M = random_mask(rng, 15, 12, density=0.6)
         cfg = SolverConfig(rank=4, max_outer=25, rel_tol=0.0, seed=1)
         f, _ = solve(X, M, var, cfg)
+        assert feasible(f, var)
+
+    @pytest.mark.parametrize("extrapolate", [True, False])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_constant_row_stays_at_its_value(self, full, extrapolate):
+        # a row with a_i == b_i needs no removal before the solve: its W row
+        # is that constant at the start and after every box projection
+        rng = np.random.default_rng(16)
+        X = rng.uniform(1, 5, size=(8, 10))
+        X[3] = 2.5
+        M = ObservationMask.full(8, 10) if full else random_mask(rng, 8, 10, density=0.6)
+        var = ModelVariant.bssmf(infer_bounds(X, M))
+        assert list(var.bounds.degenerate_rows()) == [3]
+        cfg = SolverConfig(rank=3, max_outer=20, rel_tol=0.0, extrapolate=extrapolate, seed=0)
+        f, _ = solve(X, M, var, cfg)
+        assert np.all(f.W[3] == 2.5)
         assert feasible(f, var)
 
     def test_stationary_at_exact_factorization(self):
