@@ -173,9 +173,10 @@ def solve_h_given_w(X, M, W, variant, config):
     H = variant.project_H(rng.uniform(size=(r, X.shape[1])))
     x = M.observed(X)
     floor = sv._check_observed(x, M)
-    state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
+    G = W.T @ W
+    state = sv._BlockState(max(mc.spectral_norm(G), floor))
     H, _ = sv.update_H_block(x, W, H, M, variant, state, H,
-                             config.max_outer * config.max_inner_H, config.extrapolate)
+                             config.max_outer * config.max_inner_H, config.extrapolate, G)
     return H
 
 

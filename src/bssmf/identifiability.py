@@ -65,6 +65,21 @@ def stack_for_theorem3(W, bounds):
     return np.vstack([W - a, b - W])
 
 
+def _centered(u):
+    """u minus its mean, and the norm of that, as :func:`mrsa` takes them."""
+    uc = u - u.mean()
+    return uc, np.linalg.norm(uc)
+
+
+def _angles(dots, nu, nv):
+    """MRSA from the dot products of centered vectors and their norms; raises
+    on a zero norm (a constant vector)."""
+    if np.any(nu == 0) or np.any(nv == 0):
+        raise ValueError("mrsa undefined for constant vectors")
+    cos = np.clip(dots / (nu * nv), -1.0, 1.0)
+    return 100.0 / np.pi * np.arccos(cos)
+
+
 def mrsa(u, v):
     """Mean-removed spectral angle in [0, 100]: (100/pi) * arccos of the
     cosine between mean-centered vectors."""
@@ -72,13 +87,8 @@ def mrsa(u, v):
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
         raise ShapeError("mrsa needs equal-length vectors")
-    uc = u - u.mean()
-    vc = v - v.mean()
-    nu, nv = np.linalg.norm(uc), np.linalg.norm(vc)
-    if nu == 0 or nv == 0:
-        raise ValueError("mrsa undefined for constant vectors")
-    cos = float(np.clip(uc @ vc / (nu * nv), -1.0, 1.0))
-    return 100.0 / np.pi * np.arccos(cos)
+    (uc, nu), (vc, nv) = _centered(u), _centered(v)
+    return _angles(uc @ vc, nu, nv)
 
 
 @dataclass
@@ -142,10 +152,13 @@ def match_and_score(W_true, W_est):
     if W_true.shape != W_est.shape:
         raise ShapeError(f"shape mismatch {W_true.shape} vs {W_est.shape}")
     r = W_true.shape[1]
-    cost = np.empty((r, r))
-    for i in range(r):
-        for j in range(r):
-            cost[i, j] = mrsa(W_true[:, i], W_est[:, j])
+    # each column is centered once; each pair takes one dot product of two
+    # contiguous columns, so every cost is mrsa's own value bit for bit
+    true = [_centered(np.ascontiguousarray(W_true[:, i])) for i in range(r)]
+    est = [_centered(np.ascontiguousarray(W_est[:, j])) for j in range(r)]
+    dots = np.array([[uc @ vc for vc, _ in est] for uc, _ in true]).reshape(r, r)
+    norms_true = np.array([nu for _, nu in true])[:, None]
+    cost = _angles(dots, norms_true, np.array([nv for _, nv in est]))
     perm = _assignment(cost).tolist()
     per_col = [float(cost[i, perm[i]]) for i in range(r)]
     return MatchReport(perm, per_col, float(np.mean(per_col)))

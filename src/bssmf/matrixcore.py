@@ -1,5 +1,5 @@
 """Observation masks and the kernels over them: masked residuals, objective,
-gradients, spectral norm.
+gradients, the inner step of a block, spectral norm.
 
 On a sparse mask, WH is needed only at the observed cells. It is computed as a
 sampled dense-dense product (SDDMM): the mask's cells are in column-major
@@ -11,15 +11,34 @@ the cells needs O(m b + nnz) memory for a block of b columns, not an nnz x r
 gather of each factor. The residual, both gradients and :func:`product_at`
 all use this one kernel.
 
-While one factor is frozen for a block of inner steps, :func:`block_gradient`
-does the work that depends on it only once: the Gram matrix and data product
-of the frozen factor for a full mask, the observed values, squared weights
-and the block buffer for a sparse mask. The objective is not computed in that
-Gram form (0.5||X||^2 - <X, WH> + 0.5<W^T W, HH^T>): near an exact fit its
-terms cancel, and the stopping test and exact-recovery checks need the small
-residual. For a full mask it forms WH once and subtracts and squares in that
-buffer, so each evaluation allocates one m x n array and never writes X, W or
-H.
+The checks on the data read it once. On a full mask, :meth:`ObservationMask.sweep`
+takes the row minima and maxima and the sum of squares of X over blocks of
+rows of about _SWEEP_BYTES (512 KB, which fits in a core's L2 cache): each
+block comes from memory once and its reductions then read it from cache.
+:meth:`ObservationMask.row_extrema` is the same sweep without the squares.
+
+What is fixed for a solve, a block or a call is built once for it:
+
+- per mask (it is shared, so it keeps no buffer): the cells in canonical
+  order, their CSC pattern, the squared weights unless every weight is 1,
+  and the column-block plan of the product at the cells;
+- per solve: a :class:`Workspace`, which for a sparse mask holds the CSC
+  residual on the pattern, its CSR transpose over the same values and the
+  block buffer of the product. Every gradient and objective of the solve
+  overwrites them, so a solve holds one set;
+- per block, while one factor is frozen: :func:`step_map` builds the inner
+  step F_bar -> F_bar - grad(F_bar)/L. For a full mask that is an affine map,
+  F_bar (I - G/L) + X H^T/L on the W side and (I - G/L) F_bar + W^T X/L on
+  the H side, with G the Gram matrix of the frozen factor, so a step costs
+  one O(mr^2) or O(nr^2) product and one sum. For a sparse mask it is the
+  gradient at the cells in the workspace, divided by L and subtracted.
+  :func:`block_gradient` builds the gradient alone in the same way.
+
+The objective is not computed in the Gram form (0.5||X||^2 - <X, WH> +
+0.5<W^T W, HH^T>): near an exact fit its terms cancel, and the stopping test
+and exact-recovery checks need the small residual. For a full mask it forms WH
+once and subtracts and squares in that buffer, so each evaluation allocates
+one m x n array and never writes X, W or H.
 
 Wherever a kernel takes the data X, it also takes the observed values
 ``M.observed(X)`` in their place, so a caller that evaluates many times can
@@ -33,6 +52,7 @@ matrix make theirs from it. A full-mask run loads no scipy module.
 import numpy as np
 
 _BLOCK_BYTES = 4 << 20  # size of the product buffer of one column block
+_SWEEP_BYTES = 512 << 10  # size of one block of rows in a full-mask sweep
 
 
 class ShapeError(ValueError):
@@ -96,7 +116,7 @@ class ObservationMask:
         import scipy.sparse as sp  # loaded by the first sparse mask only
 
         self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
-        self._w2 = self.weights**2
+        self._w2 = None if np.all(self.weights == 1.0) else self.weights**2  # None: all ones
         self._plan = _BlockPlan(rows, cols, self.row_idx, self.col_idx)
 
     @classmethod
@@ -128,14 +148,45 @@ class ObservationMask:
     def row_extrema(self, A):
         """Per-row (min, max) of A over observed cells; (inf, -inf) for a row
         with none."""
-        if self._full:
-            return A.min(axis=1), A.max(axis=1)
+        return self.sweep(A, squares=False)[1:]
+
+    def sweep(self, A, squares=True, extrema=True):
+        """(sum of squares, row minima, row maxima) of A over observed cells,
+        with None for a part not asked for; see :meth:`row_extrema`.
+
+        A full mask reads A once, in blocks of rows of about _SWEEP_BYTES, and
+        reduces each block while it is in cache. The extrema are those of
+        A.min(axis=1) and A.max(axis=1) bit for bit; the sum of squares adds
+        the blocks' sums, each an einsum, which wakes no BLAS thread. A NaN
+        or inf entry makes the sum non-finite.
+        """
         vals = self.observed(A)
-        lo = np.full(self.rows, np.inf)
-        hi = np.full(self.rows, -np.inf)
-        np.minimum.at(lo, self.row_idx, vals)
-        np.maximum.at(hi, self.row_idx, vals)
-        return lo, hi
+        sum_sq = lo = hi = None
+        if self._full:
+            m, n = vals.shape
+            height = max(1, _SWEEP_BYTES // (vals.itemsize * n))
+            if extrema:
+                lo, hi = np.empty(m, vals.dtype), np.empty(m, vals.dtype)
+            if squares:
+                sum_sq = 0.0
+            for i0 in range(0, m, height):
+                rows = slice(i0, i0 + height)
+                block = vals[rows]
+                if extrema:
+                    np.minimum.reduce(block, axis=1, out=lo[rows])
+                    np.maximum.reduce(block, axis=1, out=hi[rows])
+                if squares:
+                    sum_sq += float(np.einsum("ij,ij->", block, block))
+            return sum_sq, lo, hi
+        if squares:
+            sum_sq = float(np.einsum("i,i->", vals, vals))
+        if extrema:
+            lo = np.full(self.rows, np.inf)
+            hi = np.full(self.rows, -np.inf)
+            with np.errstate(invalid="ignore"):  # a NaN entry gives its row NaN, quietly
+                np.minimum.at(lo, self.row_idx, vals)
+                np.maximum.at(hi, self.row_idx, vals)
+        return sum_sq, lo, hi
 
 
 class _BlockPlan:
@@ -198,17 +249,22 @@ def _check_dims(W, H, M):
         )
 
 
-def _residual(X, W, H, M):
-    """M o (X - WH) at observed cells, always in a new array that the caller
-    may overwrite: a dense ndarray for a full mask (weights are all 1), else
-    the 1-D values in canonical order. Each case subtracts in place into the
+def _residual(X, W, H, M, work=None):
+    """M o (X - WH) at observed cells, in an array that the caller may
+    overwrite: a dense ndarray for a full mask (weights are all 1), else the
+    1-D values in canonical order. Each case subtracts in place into the
     product WH, so a full mask allocates one m x n array and a sparse mask
-    one nnz vector and one block buffer."""
+    one nnz vector and one block buffer, or uses work's when given."""
     _check_dims(W, H, M)
     x = M.observed(X)
-    R = W @ H if M.is_full else _sampled_product(W, H, M._plan)
+    if M.is_full:
+        R = W @ H
+    elif work is None:
+        R = _sampled_product(W, H, M._plan)
+    else:
+        R = _sampled_product(W, H, M._plan, work.R.data, work.buf)
     R = np.subtract(x, R, out=R if R.dtype == np.result_type(x, R) else None)
-    return R if M.is_full else np.multiply(M.weights, R, out=R)
+    return R if M.is_full or M._w2 is None else np.multiply(M.weights, R, out=R)
 
 
 def _on_pattern(M, vals):
@@ -229,15 +285,83 @@ def masked_residual(X, W, H, M):
     return R if M.is_full else _on_pattern(M, R)
 
 
-def objective(X, W, H, M):
+def objective(X, W, H, M, work=None):
     """0.5 * sum over observed cells of (M(i,j) * (X - WH)(i,j))^2.
 
     A sparse mask sums its residual vector in canonical column-major order,
     so the result does not depend on the order the cells were given in.
-    The residual is squared in place, so a full mask needs one m x n buffer.
+    The residual is squared in place, so a full mask needs one m x n buffer;
+    a sparse mask computes it in work (a :class:`Workspace`) when given.
     """
-    R = _residual(X, W, H, M)
+    R = _residual(X, W, H, M, work)
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
+
+
+class Workspace:
+    """The buffers of the sparse-mask gradients and objectives of one solve:
+    the CSC residual on the mask's pattern, its CSR transpose over the same
+    values and the block buffer of the product at the cells. Each gradient
+    or objective overwrites them, so consecutive blocks of a solve can share
+    one. It is not kept on the mask, which callers share. A full mask needs
+    none."""
+
+    def __init__(self, M):
+        self.R = self.Rt = self.buf = None
+        if not M.is_full:
+            self.R = _on_pattern(M, np.empty(M.nnz))
+            self.Rt = self.R.T  # CSR on the transposed pattern, sharing R.data
+            self.buf = np.empty(M._plan.buffer_size)
+
+
+def _frozen(X, F, M, side):
+    """The observed values of X and the shape of the free factor, after
+    checking side and the frozen factor F against the mask."""
+    if side not in ("W", "H"):
+        raise ValueError(f"side must be 'W' or 'H', got {side!r}")
+    m, n = M.rows, M.cols
+    if side == "W":
+        fits, free_shape = F.shape[1] == n, (m, F.shape[0])
+    else:
+        fits, free_shape = F.shape[0] == m, (F.shape[1], n)
+    if not fits:
+        raise ShapeError(f"incompatible shapes: frozen factor {F.shape}, mask {m}x{n}")
+    return M.observed(np.asarray(X)), free_shape
+
+
+def _checked(fn, side, free_shape):
+    """fn, refusing a free factor of another shape."""
+    def checked(A):
+        if A.shape != free_shape:
+            raise ShapeError(f"free factor {side} must be {free_shape}, got {A.shape}")
+        return fn(A)
+
+    return checked
+
+
+def _sparse_gradient(x, F, M, side, work):
+    """The sparse-mask block gradient, computed in work's buffers; each call
+    returns a new array."""
+    R, Rt, buf = work.R, work.Rt, work.buf
+    vals, w2 = R.data, M._w2
+
+    def residual(W, H):  # R.data = w2 * (WH - x) at the cells
+        _sampled_product(W, H, M._plan, vals, buf)
+        np.subtract(vals, x, out=vals)
+        if w2 is not None:
+            np.multiply(vals, w2, out=vals)
+
+    if side == "W":
+        Ft = np.ascontiguousarray(F.T)
+
+        def grad(W):
+            residual(W, F)
+            return R @ Ft
+    else:
+        def grad(H):
+            residual(F, H)
+            return (Rt @ F).T
+
+    return grad
 
 
 def block_gradient(X, F, M, side):
@@ -250,21 +374,11 @@ def block_gradient(X, F, M, side):
     full mask precomputes the Gram matrix and the data product (HH^T and
     XH^T, or W^TW and W^TX), so each gradient costs O(mr^2) or O(nr^2) and
     forms no m x n residual. A sparse mask takes the observed values once
-    and allocates the residual and the block buffer of the product at the
-    cells once; each gradient overwrites them and multiplies one CSC matrix
-    on the mask's pattern.
+    and makes one :class:`Workspace`; each gradient overwrites its residual
+    and block buffer and multiplies one sparse matrix on the mask's
+    pattern. Every call returns a new array.
     """
-    if side not in ("W", "H"):
-        raise ValueError(f"side must be 'W' or 'H', got {side!r}")
-    m, n = M.rows, M.cols
-    x = M.observed(np.asarray(X))
-    if side == "W":
-        fits, free_shape = F.shape[1] == n, (m, F.shape[0])
-    else:
-        fits, free_shape = F.shape[0] == m, (F.shape[1], n)
-    if not fits:
-        raise ShapeError(f"incompatible shapes: frozen factor {F.shape}, mask {m}x{n}")
-
+    x, free_shape = _frozen(X, F, M, side)
     if M.is_full:
         if side == "W":
             G, XFt = F @ F.T, x @ F.T
@@ -273,33 +387,48 @@ def block_gradient(X, F, M, side):
             G, FtX = F.T @ F, F.T @ x
             grad = lambda H: G @ H - FtX
     else:
-        R = _on_pattern(M, np.empty(M.nnz))
-        vals, w2, buf = R.data, M._w2, np.empty(M._plan.buffer_size)
+        grad = _sparse_gradient(x, F, M, side, Workspace(M))
+    return _checked(grad, side, free_shape)
 
-        def residual(W, H):  # R.data = w2 * (WH - x) at the cells
-            _sampled_product(W, H, M._plan, vals, buf)
-            np.subtract(vals, x, out=vals)
-            np.multiply(vals, w2, out=vals)
 
+def step_map(X, F, M, side, L, gram=None, work=None):
+    """The inner step of one block before its projection, F_bar ->
+    F_bar - grad(F_bar)/L, with the other factor F frozen and the step
+    constant L fixed for the block; side and F are as in :func:`block_gradient`.
+
+    A full mask builds the affine map F_bar (I - G/L) + XH^T/L (side "W") or
+    (I - G/L) F_bar + W^TX/L (side "H"), where G is the Gram matrix HH^T or
+    W^TW; pass it as gram when the caller has formed it, as the solver does
+    for L. This is F_bar - grad(F_bar)/L reassociated: a step is one small
+    product and one sum. A sparse mask computes the gradient as
+    :func:`block_gradient` does, in work (a new :class:`Workspace` when
+    None), divides it by L in place and subtracts it from F_bar into the
+    same array. Every call returns a new array and writes none of its
+    arguments.
+    """
+    x, free_shape = _frozen(X, F, M, side)
+    if M.is_full:
+        if gram is None:
+            gram = F @ F.T if side == "W" else F.T @ F
+        A = np.eye(len(gram)) - gram / L
         if side == "W":
-            Ft = np.ascontiguousarray(F.T)
-
-            def grad(W):
-                residual(W, F)
-                return R @ Ft
+            B, times_A = x @ F.T, lambda W: W @ A
         else:
-            Rt = R.T  # CSR on the transposed pattern, sharing R.data
+            B, times_A = F.T @ x, lambda H: A @ H
+        B /= L
 
-            def grad(H):
-                residual(F, H)
-                return (Rt @ F).T
+        def step(F_bar):
+            S = times_A(F_bar)
+            S += B
+            return S
+    else:
+        grad = _sparse_gradient(x, F, M, side, Workspace(M) if work is None else work)
 
-    def gradient(A):
-        if A.shape != free_shape:
-            raise ShapeError(f"free factor {side} must be {free_shape}, got {A.shape}")
-        return grad(A)
-
-    return gradient
+        def step(F_bar):
+            S = grad(F_bar)
+            S /= L
+            return np.subtract(F_bar, S, out=S)
+    return _checked(step, side, free_shape)
 
 
 def gradient_W(X, W, H, M):

@@ -127,25 +127,30 @@ def initialize(X, M, variant, config):
     return FactorPair(W, H)
 
 
+def _slack(bound):
+    """Rounding allowance at a bound: 1e-9 * max(1, |bound|)."""
+    return 1e-9 * np.maximum(1.0, np.abs(bound))
+
+
 def _check_observed(X, M, bounds=None, c=0.0):
-    """Raise on a non-finite observed entry of X; warn if one lies outside bounds.
+    """Raise on a non-finite observed entry of X; warn if one lies outside
+    bounds by more than the rounding slack of :func:`_slack`.
 
     Returns the floor of the step constants L_W and L_H: 1e-12 times the mean
     square of X - c over all m x n cells, and at least 1e-12, where c is 0 or
     the observed mean (then sum((x - c)^2) = sum(x^2) - nnz c^2). The sum of
-    squares takes one pass and no temporary: einsum, not x @ x, because a BLAS
-    dot wakes the BLAS worker threads, which then spin for about 0.1 s of CPU
-    time after returning. A NaN or inf entry makes that sum non-finite, so
-    the elementwise scan runs only when it is; it tells such an entry from
-    finite entries whose squares overflow.
+    squares and, when bounds are given, the row extrema come from one
+    :meth:`~bssmf.matrixcore.ObservationMask.sweep` of X, which reads a full
+    mask's data once. A NaN or inf entry makes that sum non-finite, so the
+    elementwise scan runs only when it is; it tells such an entry from finite
+    entries whose squares overflow.
     """
-    x = np.ravel(M.observed(X), order="K")  # no copy for a contiguous X
-    sum_sq = float(np.einsum("i,i->", x, x))
-    if not np.isfinite(sum_sq) and not np.all(np.isfinite(x)):
+    sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None)
+    if not math.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
         raise ValueError("X has a non-finite (NaN or inf) observed entry")
     if bounds is not None:
-        lo, hi = M.row_extrema(X)
-        if np.any(lo < bounds.lower) or np.any(hi > bounds.upper):
+        a, b = bounds.lower, bounds.upper
+        if np.any(lo < a - _slack(a)) or np.any(hi > b + _slack(b)):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
     return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols))
 
@@ -166,13 +171,14 @@ class _BlockState:
         return min((a0 - 1.0) / self.alpha, 0.9999 * math.sqrt(self.L_prev / self.L))
 
 
-def _block_step(F, F_old, gradient, project, state, n_inner, extrapolate):
+def _block_step(F, F_old, step, project, state, n_inner, extrapolate):
     """n_inner extrapolated projected-gradient steps on one factor block F;
-    gradient(F_bar) is the block gradient at the extrapolated point.
+    step(F_bar) is F_bar - grad(F_bar)/L at the extrapolated point, built
+    once for the block by :func:`matrixcore.step_map`.
 
     The arithmetic runs in place, but only on arrays made in this step: the
-    difference F - F_old and the array gradient returns, which is fresh on
-    every call. F, F_old and the gradient's own buffers are never written.
+    difference F - F_old, and the array step returns, which is fresh on every
+    call. F, F_old and the step's own buffers are never written.
     """
     for _ in range(n_inner):
         beta = state.beta(extrapolate)
@@ -183,20 +189,24 @@ def _block_step(F, F_old, gradient, project, state, n_inner, extrapolate):
         else:
             F_bar = F
         F_old = F
-        step = gradient(F_bar)
-        step /= state.L
-        F = project(np.subtract(F_bar, step, out=step))
+        F = project(step(F_bar))
         state.L_prev = state.L
     return F, F_old
 
 
-def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate):
-    return _block_step(W, W_old, mc.block_gradient(X, H, M, "W"),
+def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate,
+                   gram=None, work=None):
+    """n_inner steps on W with H frozen, at the step constant state.L; gram
+    (HH^T) and work (a matrixcore.Workspace) are reused when given."""
+    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, gram, work),
                        variant.project_W, state, n_inner, extrapolate)
 
 
-def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate):
-    return _block_step(H, H_old, mc.block_gradient(X, W, M, "H"),
+def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate,
+                   gram=None, work=None):
+    """n_inner steps on H with W frozen, at the step constant state.L; gram
+    (W^TW) and work (a matrixcore.Workspace) are reused when given."""
+    return _block_step(H, H_old, mc.step_map(X, W, M, "H", state.L, gram, work),
                        variant.project_H, state, n_inner, extrapolate)
 
 
@@ -232,9 +242,9 @@ def solve(X, M, variant, config):
         c = float(np.mean(x))  # the check below rejects a NaN or inf entry
     floor = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None, c)
 
-    def lipschitz_H(W):
+    def gram_H(W):  # the Gram matrix L_H is taken of
         Wc = W - c if c else W
-        return max(mc.spectral_norm(Wc.T @ Wc), floor)
+        return Wc.T @ Wc
 
     factors = initialize(X, M, variant, config)
     report = SolveReport()
@@ -246,23 +256,28 @@ def solve(X, M, variant, config):
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    sw = _BlockState(max(mc.spectral_norm(H @ H.T), floor))
-    sh = _BlockState(lipschitz_H(W))
+    work = mc.Workspace(M)  # the sparse-mask buffers, shared by every block and objective
+    G_W = H @ H.T
+    sw = _BlockState(max(mc.spectral_norm(G_W), floor))
+    sh = _BlockState(max(mc.spectral_norm(gram_H(W)), floor))
 
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [mc.objective(x, W, H, M)]
+    trace = [mc.objective(x, W, H, M, work)]
     ltrace = []
     stop = "max_iters"
     outer = 0
     for outer in range(1, config.max_outer + 1):
         W_prev, H_prev = W, H
         W, W_old = update_W_block(x, W, H, M, variant, sw, W_old,
-                                  config.max_inner_W, config.extrapolate)
-        sh.L = lipschitz_H(W)
-        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old,
-                                  config.max_inner_H, config.extrapolate)
-        sw.L = max(mc.spectral_norm(H @ H.T), floor)
-        f = mc.objective(x, W, H, M) if every_pass else 0.0
+                                  config.max_inner_W, config.extrapolate, G_W, work)
+        G_H = gram_H(W)
+        sh.L = max(mc.spectral_norm(G_H), floor)
+        # the H step needs W^TW itself, which G_H is only when c == 0
+        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, config.max_inner_H,
+                                  config.extrapolate, None if c else G_H, work)
+        G_W = H @ H.T
+        sw.L = max(mc.spectral_norm(G_W), floor)
+        f = mc.objective(x, W, H, M, work) if every_pass else 0.0
         if not (math.isfinite(sw.L) and math.isfinite(sh.L) and math.isfinite(f)):
             # overflow: the next steps would be NaN, so keep the last finite pass
             W, H = W_prev, H_prev
@@ -279,7 +294,7 @@ def solve(X, M, variant, config):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(mc.objective(x, W, H, M))
+        trace.append(mc.objective(x, W, H, M, work))
 
     report.objective_trace = trace if config.record_trace else [trace[0], trace[-1]]
     report.outer_iterations = outer
@@ -303,7 +318,7 @@ def predict_cells(W, H, rows, cols, bounds=None):
         lo = bounds.lower[rows]
         hi = bounds.upper[rows]
         finite = np.isfinite(lo) & np.isfinite(hi)
-        slack = 1e-9 * np.maximum(1.0, np.abs(hi[finite]))
+        slack = _slack(hi[finite])
         if not (np.all(vals[finite] >= lo[finite] - slack)
                 and np.all(vals[finite] <= hi[finite] + slack)):
             raise ValueError("prediction escapes per-row bounds")

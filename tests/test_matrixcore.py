@@ -8,6 +8,7 @@ from bssmf.matrixcore import (
     DuplicateCellError,
     ObservationMask,
     ShapeError,
+    Workspace,
     block_gradient,
     gradient_H,
     gradient_W,
@@ -15,6 +16,7 @@ from bssmf.matrixcore import (
     objective,
     product_at,
     spectral_norm,
+    step_map,
 )
 
 from conftest import EXAMPLE_H, EXAMPLE_W, EXAMPLE_X, random_mask
@@ -513,3 +515,171 @@ class TestBlockedProduct:
             product_at(np.ones((3, 2)), np.ones((2, 4)), [0], [-1])
         with pytest.raises(ShapeError):
             product_at(np.ones((3, 2)), np.ones((2, 4)), [0, 1], [0])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def swept_arrays(draw):
+    """An m x n array of floats with NaN, +-inf and signed zeros among them,
+    in C or F order, and a sweep budget of 1 to m + 1 rows (plus a remainder
+    that does not fill another row): one block, exactly one, or several."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    values = draw(st.lists(st.one_of(st.floats(-1e6, 1e6), special),
+                           min_size=m * n, max_size=m * n))
+    A = np.array(values, dtype=np.float64).reshape(m, n)
+    if draw(st.booleans()):
+        A = np.asfortranarray(A)
+    sweep_bytes = 8 * n * draw(st.integers(1, m + 1)) + draw(st.integers(0, 8 * n - 1))
+    return A, sweep_bytes
+
+
+class TestSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(swept_arrays())
+    def test_full_mask_extrema_bit_equal_to_whole_array_reductions(self, problem):
+        A, sweep_bytes = problem
+        M = ObservationMask.full(*A.shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_SWEEP_BYTES", sweep_bytes)
+            for lo, hi in (M.row_extrema(A), M.sweep(A)[1:]):
+                assert np.array_equal(_bits(lo), _bits(A.min(1)))
+                assert np.array_equal(_bits(hi), _bits(A.max(1)))
+
+    @pytest.mark.parametrize("m, n", [(3, 100_000), (40_000, 1), (1, 1), (700, 300)])
+    def test_shapes_around_the_default_block(self, m, n):
+        """Rows longer than a block (800 KB each), one column, a single cell,
+        and 700 rows of 2.4 KB in blocks of 218 rows, the last one partial."""
+        A = np.random.default_rng(m + n).standard_normal((m, n))
+        lo, hi = ObservationMask.full(m, n).row_extrema(A)
+        assert np.array_equal(lo, A.min(1)) and np.array_equal(hi, A.max(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 41), st.integers(0, 2**32 - 1))
+    def test_sum_of_squares(self, m, n, height, seed):
+        A = np.random.default_rng(seed).standard_normal((m, n))
+        M = ObservationMask.full(m, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_SWEEP_BYTES", 8 * n * height)
+            sum_sq, lo, hi = M.sweep(A, extrema=False)
+        assert lo is None and hi is None
+        assert sum_sq == pytest.approx(float(np.sum(A * A)), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems())
+    def test_sparse_mask_sweep_is_its_observed_values(self, problem):
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        X, _, _ = _factors(seed, m, n)
+        x = M.observed(X)
+        for A in (X, x):
+            sum_sq, lo, hi = M.sweep(A)
+            assert sum_sq == float(np.einsum("i,i->", x, x))
+            assert all(np.array_equal(a, b) for a, b in zip((lo, hi), M.row_extrema(A)))
+        assert M.sweep(X, squares=False, extrema=False) == (None, None, None)
+
+
+def _variant_factors(kind, rng, m, n, r):
+    """A bounded W and a column-stochastic H (bssmf), nonnegative factors (nmf)
+    or signed ones (mf)."""
+    if kind == "bssmf":
+        H = rng.uniform(size=(r, n))
+        return rng.uniform(1, 5, size=(m, r)), H / H.sum(axis=0)
+    if kind == "nmf":
+        return rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+    return rng.standard_normal((m, r)), rng.standard_normal((r, n))
+
+
+class TestStepMap:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["bssmf", "nmf", "mf"]), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_full_mask_map_is_the_gradient_step(self, kind, m, n, r, pass_gram, seed):
+        """The affine map equals F_bar - gradient(F_bar)/L to rel 1e-12 of the
+        largest entry, on both sides, with the Gram matrix passed or not."""
+        rng = np.random.default_rng(seed)
+        W, H = _variant_factors(kind, rng, m, n, r)
+        W_bar, H_bar = _variant_factors(kind, rng, m, n, r)
+        X = W @ H + 0.1 * rng.standard_normal((m, n))
+        M = ObservationMask.full(m, n)
+        for side, F, F_bar, G in (("W", H, W_bar, H @ H.T), ("H", W, H_bar, W.T @ W)):
+            L = max(spectral_norm(G), 1e-12) * rng.uniform(1.0, 3.0)
+            step = step_map(X, F, M, side, L, G if pass_gram else None)
+            want = F_bar - block_gradient(X, F, M, side)(F_bar) / L
+            got = step(F_bar)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert step(F_bar) is not got  # a new array on every call
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems(), st.integers(1, 4))
+    def test_sparse_map_bit_equal_to_the_gradient_step(self, problem, r):
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, w)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(m, n))
+        W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        work = Workspace(M)
+        for side, F, F_bar in (("W", H, W), ("H", W, H), ("W", H + 0.5, W - 0.5)):
+            want = F_bar - block_gradient(X, F, M, side)(F_bar) / 3.0
+            assert np.array_equal(step_map(X, F, M, side, 3.0, None, work)(F_bar), want)
+
+    def test_rejects_bad_side_and_shapes(self):
+        X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
+        with pytest.raises(ValueError, match="side"):
+            step_map(X, np.ones((2, 3)), M, "V", 1.0)
+        with pytest.raises(ShapeError):
+            step_map(X, np.ones((3, 2)), M, "H", 1.0)
+        with pytest.raises(ShapeError):
+            step_map(X, np.ones((2, 3)), M, "W", 1.0)(np.ones((4, 3)))
+
+
+class TestSparseWorkspace:
+    @settings(max_examples=80, deadline=None)
+    @given(masked_problems(), st.integers(1, 4), st.booleans())
+    def test_shared_workspace_bit_equal_to_fresh_gradients(self, problem, r, unit):
+        """Consecutive blocks and objectives that share one workspace, as a
+        solve's do, give the gradients of a fresh block_gradient at each
+        point, and the objective of fresh buffers."""
+        m, n, rows, cols, w, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, np.ones(w.size) if unit else w)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(m, n))
+        x = M.observed(X)
+        work = Workspace(M)
+        W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        for _ in range(3):  # W block, then H block, with new frozen factors each time
+            grad = mc._sparse_gradient(x, H, M, "W", work)
+            for A in (W, W + 1.0):
+                assert np.array_equal(grad(A), block_gradient(X, H, M, "W")(A))
+            W = rng.uniform(size=(m, r))
+            grad = mc._sparse_gradient(x, W, M, "H", work)
+            for A in (H, H + 1.0):
+                assert np.array_equal(grad(A), block_gradient(X, W, M, "H")(A))
+            H = rng.uniform(size=(r, n))
+            assert objective(X, W, H, M, work) == objective(X, W, H, M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems(), st.integers(1, 4))
+    def test_unit_weights_skip_the_multiply_bit_equal(self, problem, r):
+        m, n, rows, cols, _, _, seed = problem
+        M = ObservationMask(m, n, rows, cols, np.ones(rows.size))
+        assert M._w2 is None
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(m, n))
+        W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        skipped = [block_gradient(X, H, M, "W")(W), block_gradient(X, W, M, "H")(H),
+                   masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "_w2", np.ones(M.nnz))  # multiply by the squared weights
+            multiplied = [block_gradient(X, H, M, "W")(W), block_gradient(X, W, M, "H")(H),
+                          masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
+        for a, b in zip(skipped, multiplied):
+            assert np.array_equal(a, b)
+
+    def test_full_mask_needs_no_buffers(self):
+        work = Workspace(ObservationMask.full(3, 4))
+        assert work.R is None and work.Rt is None and work.buf is None

@@ -17,6 +17,7 @@ from bssmf import (
     solve_centered,
 )
 import bssmf.matrixcore as mc
+from bssmf.identifiability import SyntheticSpec, generate_synthetic
 from bssmf.matrixcore import objective
 from bssmf.preprocessing import infer_bounds
 from bssmf.solver import ConfigError, _check_observed, initialize
@@ -254,6 +255,38 @@ class TestSolve:
             f, report = solver(X, M, var, SolverConfig(rank=2, max_outer=2, seed=0))
         assert report.stop_reason == "diverged"
         assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H)) and feasible(f, var)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 7, 11])  # in the first, a middle and the last block
+    def test_nonfinite_entry_raises_in_any_sweep_block(self, monkeypatch, bad, row):
+        monkeypatch.setattr(mc, "_SWEEP_BYTES", 8 * 5 * 2)  # 6 blocks of 2 rows
+        X = np.full((12, 5), 0.5)
+        X[row, 3] = bad
+        M = ObservationMask.full(12, 5)
+        for bounds in (None, BoundsVector.constant(12, 0, 1)):
+            with pytest.raises(ValueError, match="non-finite"):
+                _check_observed(X, M, bounds)
+
+    def test_overflowing_squares_in_several_sweep_blocks_pass(self, monkeypatch):
+        monkeypatch.setattr(mc, "_SWEEP_BYTES", 8 * 5 * 2)
+        X = np.full((12, 5), 1e200)
+        with np.errstate(over="ignore"):
+            floor = _check_observed(X, ObservationMask.full(12, 5),
+                                    BoundsVector.constant(12, 0, 2e200))
+        assert floor == np.inf
+
+    def test_rounding_above_a_bound_does_not_warn(self):
+        # X = WH exactly; one entry rounds to 1 + 2**-52 above b = 1
+        W, H, X = generate_synthetic(SyntheticSpec(p01=0.3, seed=5001))
+        assert X.max() == 1.0 + 2.0**-52
+        var = ModelVariant.bssmf(BoundsVector.constant(100, 0, 1))
+        cfg = SolverConfig(rank=10, max_outer=2, rel_tol=0.0, seed=0)
+        solve(X, ObservationMask.full(100, 100), var, cfg)  # a warning is an error here
+        for i, j, beyond in ((3, 4, 1.0 + 1e-6), (5, 6, -1e-6)):
+            Y = X.copy()
+            Y[i, j] = beyond
+            with pytest.warns(UserWarning, match="outside"):
+                solve(Y, ObservationMask.full(100, 100), var, cfg)
 
     @pytest.mark.parametrize("solver", [solve, solve_centered])
     def test_nan_in_unobserved_cell_ignored(self, solver):
