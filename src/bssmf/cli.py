@@ -3,7 +3,12 @@
 Every run prints its resolved configuration before starting, writes CSV
 artifacts only, and uses disjoint exit codes: 0 success, 1 numerical failure,
 2 configuration error, 3 I/O error, 10 scatteredness check failed,
-11 synthetic regeneration exhausted.
+11 synthetic regeneration exhausted. Commands raise and :func:`main` picks
+the code: OSError or io_formats.DataFormatError gives 3, any other
+ValueError (ConfigError, ShapeError) 2. Only the ``factorize`` solve (1 for
+a ValueError or FloatingPointError other than ConfigError) and ``synth``
+(11 for a RuntimeError) decide locally; checks that find no exception
+return their code. Each failure prints one ``error:`` line to stderr.
 """
 
 import argparse
@@ -59,20 +64,12 @@ def _print_config(name, ns):
 def cmd_factorize(args):
     if args.seed_sweep < 1:
         return _fail(EXIT_CONFIG, f"--seed-sweep must be at least 1, got {args.seed_sweep}")
-    try:
-        X, M = _load_matrix(args.input)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
+    X, M = _load_matrix(args.input)
     # before bounds inference, which would report NaN data as bad bounds
     if not np.all(np.isfinite(M.observed(X))):
         return _fail(EXIT_NUMERICAL, "X has a non-finite (NaN or inf) observed entry")
-    try:
-        bounds = _parse_bounds(args.bounds, X, M)
-        variant = sv.ModelVariant.from_kind(args.variant, bounds)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
-    except ValueError as e:
-        return _fail(EXIT_CONFIG, e)
+    bounds = _parse_bounds(args.bounds, X, M)
+    variant = sv.ModelVariant.from_kind(args.variant, bounds)
     try:
         seeds = range(args.seed, args.seed + args.seed_sweep)
         best = None
@@ -92,48 +89,36 @@ def cmd_factorize(args):
             if best is None or final < best[2]:
                 best = (factors, report, final, config)
         factors, report, final, config = best
-    except sv.ConfigError as e:
-        return _fail(EXIT_CONFIG, e)
+    except sv.ConfigError:
+        raise  # a configuration error, for main
     except (ValueError, FloatingPointError) as e:
         return _fail(EXIT_NUMERICAL, e)
     if not np.isfinite(final):
         return _fail(EXIT_NUMERICAL, f"non-finite final objective {final}")
-    try:
-        iof.write_factors(args.out_prefix, factors, report, config, variant, bounds)
-    except OSError as e:
-        return _fail(EXIT_IO, e)
+    iof.write_factors(args.out_prefix, factors, report, config, variant, bounds)
     print(f"final objective {final:.6g} after {report.outer_iterations} outer iterations")
     return EXIT_OK
 
 
 def cmd_complete(args):
-    try:
-        dataset = iof.read_movielens(args.ratings, args.flavor)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
-    try:
-        ranks = [int(r) for r in args.rank.split(",")]
-        spec = ev.SplitSpec(
-            test_user_count=args.split_test_users,
-            known_fraction=args.known_fraction,
-            seed=args.seed,
-        )
-        reports = ev.overfitting_sweep(
-            dataset, spec, ranks, [args.variant], list(range(args.seeds)),
-            center=args.center, dataset_name=args.ratings,
-        )
-    except (ValueError, sv.ConfigError) as e:
-        return _fail(EXIT_CONFIG, e)
-    try:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("dataset,variant,rank,seed_count,rmse_mean,rmse_std,"
-                    "train_rmse_mean,wall_time_s\n")
-            for r in reports:
-                f.write(f"{r.dataset},{r.variant},{r.rank},{r.seeds_used},"
-                        f"{r.rmse_test:.17g},{r.rmse_std:.17g},"
-                        f"{r.rmse_train:.17g},{r.wall_time:.3f}\n")
-    except OSError as e:
-        return _fail(EXIT_IO, e)
+    dataset = iof.read_movielens(args.ratings, args.flavor)
+    ranks = [int(r) for r in args.rank.split(",")]
+    spec = ev.SplitSpec(
+        test_user_count=args.split_test_users,
+        known_fraction=args.known_fraction,
+        seed=args.seed,
+    )
+    reports = ev.overfitting_sweep(
+        dataset, spec, ranks, [args.variant], list(range(args.seeds)),
+        center=args.center, dataset_name=args.ratings,
+    )
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write("dataset,variant,rank,seed_count,rmse_mean,rmse_std,"
+                "train_rmse_mean,wall_time_s\n")
+        for r in reports:
+            f.write(f"{r.dataset},{r.variant},{r.rank},{r.seeds_used},"
+                    f"{r.rmse_test:.17g},{r.rmse_std:.17g},"
+                    f"{r.rmse_train:.17g},{r.wall_time:.3f}\n")
     for r in reports:
         print(f"{r.variant} r={r.rank}: test RMSE {r.rmse_test:.4f} "
               f"+- {r.rmse_std:.4f}")
@@ -141,21 +126,15 @@ def cmd_complete(args):
 
 
 def cmd_check_ssc(args):
-    try:
-        A = iof.read_dense_csv(args.factor)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
-    try:
-        if args.role == "w-stacked":
-            lo, hi = args.bounds.split(":")
-            bounds = BoundsVector.constant(A.shape[0], float(lo), float(hi))
-            A = ident.stack_for_theorem3(A, bounds).T
-            role = "W_stacked"
-        else:
-            role = "H"
-        report = ident.ssc_necessary_check(A, args.tol, matrix_role=role)
-    except ValueError as e:
-        return _fail(EXIT_CONFIG, e)
+    A = iof.read_dense_csv(args.factor)
+    if args.role == "w-stacked":
+        lo, hi = args.bounds.split(":")
+        bounds = BoundsVector.constant(A.shape[0], float(lo), float(hi))
+        A = ident.stack_for_theorem3(A, bounds).T
+        role = "W_stacked"
+    else:
+        role = "H"
+    report = ident.ssc_necessary_check(A, args.tol, matrix_role=role)
     print(f"role={report.matrix_role} overall_pass={report.overall_pass}")
     print("row,zero_count,zero_set_rank,passes")
     for k, row in enumerate(report.per_row):
@@ -164,15 +143,9 @@ def cmd_check_ssc(args):
 
 
 def cmd_mrsa(args):
-    try:
-        W_true = iof.read_dense_csv(args.true)
-        W_est = iof.read_dense_csv(args.est)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
-    try:
-        report = ident.match_and_score(W_true, W_est)
-    except ValueError as e:
-        return _fail(EXIT_CONFIG, e)
+    W_true = iof.read_dense_csv(args.true)
+    W_est = iof.read_dense_csv(args.est)
+    report = ident.match_and_score(W_true, W_est)
     print("column,matched_to,mrsa")
     for i, (p, v) in enumerate(zip(report.permutation, report.per_column_mrsa)):
         print(f"{i},{p},{v:.12g}")
@@ -191,12 +164,9 @@ def cmd_synth(args):
         return _fail(EXIT_SYNTH_EXHAUSTED, e)
     if not np.allclose(X, W @ H):
         return _fail(EXIT_NUMERICAL, "generated X differs from W @ H")
-    try:
-        iof.write_dense_csv(args.out_prefix + "X.csv", X)
-        iof.write_dense_csv(args.out_prefix + "Wtrue.csv", W)
-        iof.write_dense_csv(args.out_prefix + "Htrue.csv", H)
-    except OSError as e:
-        return _fail(EXIT_IO, e)
+    iof.write_dense_csv(args.out_prefix + "X.csv", X)
+    iof.write_dense_csv(args.out_prefix + "Wtrue.csv", W)
+    iof.write_dense_csv(args.out_prefix + "Htrue.csv", H)
     print(f"wrote {args.out_prefix}{{X,Wtrue,Htrue}}.csv")
     return EXIT_OK
 
@@ -204,40 +174,29 @@ def cmd_synth(args):
 def cmd_center_demo(args):
     if args.seeds < 1:
         return _fail(EXIT_CONFIG, f"--seeds must be at least 1, got {args.seeds}")
-    try:
-        X, M = _load_matrix(args.input)
-    except (OSError, iof.DataFormatError) as e:
-        return _fail(EXIT_IO, e)
-    try:
-        bounds = prep.infer_bounds(X, M)
-        offset = float(np.mean((bounds.upper - bounds.lower) / 2.0))
-        uneven = (X + offset, BoundsVector(bounds.lower + offset, bounds.upper + offset))
-        # "centered" is the plain data with centering on
-        scenarios = {"plain": (X, bounds), "centered": (X, bounds), "uneven": uneven}
-        series = {}
-        for mode, (Xm, bm) in scenarios.items():
-            for extrap, label in ((True, "alg1"), (False, "bcd")):
-                traces = []
-                for seed in range(args.seeds):
-                    config = sv.SolverConfig(
-                        rank=args.rank, max_outer=args.outer,
-                        max_inner_W=args.inner, max_inner_H=args.inner,
-                        rel_tol=0.0, extrapolate=extrap, center=mode == "centered",
-                        seed=seed,
-                    )
-                    _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
-                    traces.append(rep.objective_trace)
-                series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
-    except (ValueError, sv.ConfigError) as e:
-        return _fail(EXIT_CONFIG, e)
+    X, M = _load_matrix(args.input)
+    bounds = prep.infer_bounds(X, M)
+    offset = float(np.mean((bounds.upper - bounds.lower) / 2.0))
+    uneven = (X + offset, BoundsVector(bounds.lower + offset, bounds.upper + offset))
+    # "centered" is the plain data with centering on
+    scenarios = {"plain": (X, bounds), "centered": (X, bounds), "uneven": uneven}
+    series = {}
+    for mode, (Xm, bm) in scenarios.items():
+        for extrap, label in ((True, "alg1"), (False, "bcd")):
+            traces = []
+            for seed in range(args.seeds):
+                config = sv.SolverConfig(
+                    rank=args.rank, max_outer=args.outer,
+                    max_inner_W=args.inner, max_inner_H=args.inner,
+                    rel_tol=0.0, extrapolate=extrap, center=mode == "centered",
+                    seed=seed,
+                )
+                _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
+                traces.append(rep.objective_trace)
+            series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     cols = list(series)  # plain, centered, uneven; alg1 before bcd in each
-    try:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("iteration," + ",".join(cols) + "\n")
-            for k in range(len(series[cols[0]])):
-                f.write(f"{k}," + ",".join(f"{series[c][k]:.17g}" for c in cols) + "\n")
-    except OSError as e:
-        return _fail(EXIT_IO, e)
+    table = np.column_stack([np.arange(len(series[cols[0]]))] + [series[c] for c in cols])
+    iof.write_dense_csv(args.out, table, header=["iteration"] + cols)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -313,7 +272,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     _print_config(args.command, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, iof.DataFormatError) as e:  # before ValueError: a DataFormatError is one
+        return _fail(EXIT_IO, e)
+    except ValueError as e:
+        return _fail(EXIT_CONFIG, e)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,12 @@ class RatingsDataset:
 
 @dataclass
 class SplitSpec:
+    """Split parameters. Of each test user's k kept ratings,
+    ceil(known_fraction * k) are known and the rest held out, so a test user
+    is usable only when that ceiling is below k. The others (k of 0 or 1, or
+    small enough that the ceiling is k: at most 4 at 0.8) are skipped and
+    counted in ``Fold.skipped_test_users``."""
+
     test_user_count: int
     known_fraction: float = 0.8
     min_ratings_per_item: int = 5
@@ -96,7 +102,9 @@ class EvalReport:
 def split(dataset, spec):
     """Seeded split: drop items rated < min_ratings_per_item, pick test users
     at random, and cut each test user's ratings 80/20 into known/held-out.
-    Rows are the kept items and columns the users, each in increasing id order."""
+    Rows are the kept items and columns the users, each in increasing id order.
+    Test users with no rating to hold out are skipped, as :class:`SplitSpec`
+    says, with a warning; if none is left, ValueError."""
     if dataset.users.size == 0:
         raise ValueError("empty dataset")
     if not (0 < spec.known_fraction < 1):
@@ -121,17 +129,23 @@ def split(dataset, spec):
     per_user = np.bincount(users, minlength=dataset.num_users)
 
     train_users = np.flatnonzero((per_user > 0) & ~is_test)
-    usable_test = np.flatnonzero((per_user >= 2) & is_test)
+    n_known = np.ceil(spec.known_fraction * per_user).astype(np.intp)
+    usable = is_test & (n_known < per_user)  # at least one rating left to hold out
+    usable_test = np.flatnonzero(usable)
+    if usable_test.size == 0:
+        raise ValueError(f"no test user keeps a rating to hold out: each of the "
+                         f"{spec.test_user_count} has k kept ratings with "
+                         f"ceil(known_fraction * k) = k")
     skipped = spec.test_user_count - usable_test.size
     if skipped:
-        warnings.warn(f"{skipped} test users had < 2 ratings after filtering; excluded")
+        warnings.warn(f"{skipped} test users have no rating left to hold out after "
+                      f"filtering (ceil(known_fraction * k) = k); excluded")
     in_train = ~is_test[users]
     known = np.zeros(users.size, dtype=bool)
     starts = np.cumsum(per_user) - per_user
     for u in usable_test:
-        k = int(per_user[u])
-        known[starts[u] + rng.permutation(k)[: int(np.ceil(spec.known_fraction * k))]] = True
-    held = is_test[users] & (per_user[users] >= 2) & ~known
+        known[starts[u] + rng.permutation(per_user[u])[: n_known[u]]] = True
+    held = usable[users] & ~known
 
     def matrix(sel, side_users):
         X = np.zeros((n_items, side_users.size))

@@ -194,7 +194,19 @@ def generate_synthetic(spec):
     """Ground-truth instance: H uniform with a fraction of entries zeroed and
     columns normalized to the simplex (regenerated until the scatteredness
     necessary condition holds), W uniform in [0,1] with floor(p01*m*r) entries
-    pinned to {0, 1}; X = W H exactly."""
+    pinned to {0, 1}; X = W H exactly.
+
+    Raises ValueError unless m, n >= 1, 2 <= r <= min(m, n) (the check needs
+    r >= 2, and a solve refuses a rank above min(m, n)) and h_zero_fraction
+    and p01 lie in [0, 1]; RuntimeError if no scattered H turns up."""
+    if not (spec.m >= 1 and spec.n >= 1):
+        raise ValueError(f"synthetic size must be at least 1x1, got {spec.m}x{spec.n}")
+    if not 2 <= spec.r <= min(spec.m, spec.n):
+        raise ValueError(f"synthetic rank must lie in [2, min(m, n)] = [2, "
+                         f"{min(spec.m, spec.n)}], got {spec.r}")
+    for name in ("h_zero_fraction", "p01"):
+        if not 0 <= getattr(spec, name) <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {getattr(spec, name)}")
     rng = np.random.default_rng(spec.seed)
     H = None
     for _ in range(50):

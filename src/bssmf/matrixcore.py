@@ -32,7 +32,10 @@ What is fixed for a solve, a block or a call is built once for it:
   the H side, with G the Gram matrix of the frozen factor, so a step costs
   one O(mr^2) or O(nr^2) product and one sum. For a sparse mask it is the
   gradient at the cells in the workspace, divided by L and subtracted.
-  :func:`block_gradient` builds the gradient alone in the same way.
+
+One kernel, :func:`_misfit`, forms the unweighted WH - x at the observed
+cells; the objective, the gradients and :func:`masked_residual` each apply
+the weights to it.
 
 The objective is not computed in the Gram form (0.5||X||^2 - <X, WH> +
 0.5<W^T W, HH^T>): near an exact fit its terms cancel, and the stopping test
@@ -249,22 +252,21 @@ def _check_dims(W, H, M):
         )
 
 
-def _residual(X, W, H, M, work=None):
-    """M o (X - WH) at observed cells, in an array that the caller may
-    overwrite: a dense ndarray for a full mask (weights are all 1), else the
-    1-D values in canonical order. Each case subtracts in place into the
-    product WH, so a full mask allocates one m x n array and a sparse mask
-    one nnz vector and one block buffer, or uses work's when given."""
-    _check_dims(W, H, M)
-    x = M.observed(X)
+def _misfit(x, W, H, M, work=None):
+    """WH - x at observed cells, unweighted, from the observed values x, in
+    an array that the caller may overwrite: a dense ndarray for a full mask,
+    else the 1-D values in canonical order. Each case subtracts in place
+    from the product WH, so a full mask allocates one m x n array and a
+    sparse mask one nnz vector and one block buffer, or writes into work's
+    residual and buffer when given."""
     if M.is_full:
         R = W @ H
     elif work is None:
         R = _sampled_product(W, H, M._plan)
-    else:
+    else:  # the gradients multiply work.R, so the result must land there
         R = _sampled_product(W, H, M._plan, work.R.data, work.buf)
-    R = np.subtract(x, R, out=R if R.dtype == np.result_type(x, R) else None)
-    return R if M.is_full or M._w2 is None else np.multiply(M.weights, R, out=R)
+        return np.subtract(R, x, out=R)
+    return np.subtract(R, x, out=R if R.dtype == np.result_type(x, R) else None)
 
 
 def _on_pattern(M, vals):
@@ -281,8 +283,12 @@ def masked_residual(X, W, H, M):
     residual only at observed cells, stored in the mask's canonical
     column-major order.
     """
-    R = _residual(X, W, H, M)
-    return R if M.is_full else _on_pattern(M, R)
+    _check_dims(W, H, M)
+    R = _misfit(M.observed(X), W, H, M)
+    R = np.subtract(0.0, R, out=R)  # X - WH; a zero stays +0, as x - WH gives it
+    if M.is_full:
+        return R
+    return _on_pattern(M, R if M._w2 is None else np.multiply(M.weights, R, out=R))
 
 
 def objective(X, W, H, M, work=None):
@@ -293,7 +299,10 @@ def objective(X, W, H, M, work=None):
     The residual is squared in place, so a full mask needs one m x n buffer;
     a sparse mask computes it in work (a :class:`Workspace`) when given.
     """
-    R = _residual(X, W, H, M, work)
+    _check_dims(W, H, M)
+    R = _misfit(M.observed(X), W, H, M, work)  # squared, so the sign is moot
+    if not M.is_full and M._w2 is not None:
+        R = np.multiply(M.weights, R, out=R)
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
 
 
@@ -341,12 +350,11 @@ def _checked(fn, side, free_shape):
 def _sparse_gradient(x, F, M, side, work):
     """The sparse-mask block gradient, computed in work's buffers; each call
     returns a new array."""
-    R, Rt, buf = work.R, work.Rt, work.buf
+    R, Rt = work.R, work.Rt
     vals, w2 = R.data, M._w2
 
     def residual(W, H):  # R.data = w2 * (WH - x) at the cells
-        _sampled_product(W, H, M._plan, vals, buf)
-        np.subtract(vals, x, out=vals)
+        _misfit(x, W, H, M, work)
         if w2 is not None:
             np.multiply(vals, w2, out=vals)
 
@@ -364,47 +372,20 @@ def _sparse_gradient(x, F, M, side, work):
     return grad
 
 
-def block_gradient(X, F, M, side):
-    """Gradient of the masked objective in one factor while the other, F,
-    stays frozen, as a function of the free factor.
-
-    side="W": F is H and the result maps W to -(MoMo(X-WH)) H^T.
-    side="H": F is W and the result maps H to -W^T (MoMo(X-WH)).
-    Everything that depends only on F is computed here, once per block. A
-    full mask precomputes the Gram matrix and the data product (HH^T and
-    XH^T, or W^TW and W^TX), so each gradient costs O(mr^2) or O(nr^2) and
-    forms no m x n residual. A sparse mask takes the observed values once
-    and makes one :class:`Workspace`; each gradient overwrites its residual
-    and block buffer and multiplies one sparse matrix on the mask's
-    pattern. Every call returns a new array.
-    """
-    x, free_shape = _frozen(X, F, M, side)
-    if M.is_full:
-        if side == "W":
-            G, XFt = F @ F.T, x @ F.T
-            grad = lambda W: W @ G - XFt
-        else:
-            G, FtX = F.T @ F, F.T @ x
-            grad = lambda H: G @ H - FtX
-    else:
-        grad = _sparse_gradient(x, F, M, side, Workspace(M))
-    return _checked(grad, side, free_shape)
-
-
 def step_map(X, F, M, side, L, gram=None, work=None):
     """The inner step of one block before its projection, F_bar ->
     F_bar - grad(F_bar)/L, with the other factor F frozen and the step
-    constant L fixed for the block; side and F are as in :func:`block_gradient`.
+    constant L fixed for the block. side="W": F is H and the map acts on W;
+    side="H": F is W and the map acts on H.
 
     A full mask builds the affine map F_bar (I - G/L) + XH^T/L (side "W") or
     (I - G/L) F_bar + W^TX/L (side "H"), where G is the Gram matrix HH^T or
     W^TW; pass it as gram when the caller has formed it, as the solver does
     for L. This is F_bar - grad(F_bar)/L reassociated: a step is one small
-    product and one sum. A sparse mask computes the gradient as
-    :func:`block_gradient` does, in work (a new :class:`Workspace` when
-    None), divides it by L in place and subtracts it from F_bar into the
-    same array. Every call returns a new array and writes none of its
-    arguments.
+    product and one sum. A sparse mask computes the gradient at the cells
+    in work (a new :class:`Workspace` when None), divides it by L in place
+    and subtracts it from F_bar into the same array. Every call returns a
+    new array and writes none of its arguments.
     """
     x, free_shape = _frozen(X, F, M, side)
     if M.is_full:
@@ -432,13 +413,24 @@ def step_map(X, F, M, side, L, gram=None, work=None):
 
 
 def gradient_W(X, W, H, M):
-    """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T."""
-    return block_gradient(X, H, M, "W")(W)
+    """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T. A full
+    mask takes it as W(HH^T) - XH^T and forms no m x n residual; a sparse
+    one multiplies the weighted residual on the mask's pattern."""
+    _check_dims(W, H, M)
+    x = M.observed(X)
+    if M.is_full:
+        return W @ (H @ H.T) - x @ H.T
+    return _sparse_gradient(x, H, M, "W", Workspace(M))(W)
 
 
 def gradient_H(X, W, H, M):
-    """Gradient of the masked objective w.r.t. H: -W^T (MoMo(X-WH))."""
-    return block_gradient(X, W, M, "H")(H)
+    """Gradient of the masked objective w.r.t. H: -W^T (MoMo(X-WH)), as
+    :func:`gradient_W` takes it: (W^TW)H - W^TX for a full mask."""
+    _check_dims(W, H, M)
+    x = M.observed(X)
+    if M.is_full:
+        return (W.T @ W) @ H - W.T @ x
+    return _sparse_gradient(x, W, M, "H", Workspace(M))(H)
 
 
 def spectral_norm(A):

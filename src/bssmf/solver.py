@@ -311,16 +311,16 @@ def solve_centered(X, M, variant, config):
 
 def predict_cells(W, H, rows, cols, bounds=None):
     """Vectorized W(i,:) . H(:,j) over index arrays; bound-checked and clamped
-    row-wise when bounds are given."""
+    row-wise when bounds are given. A value beyond a finite bound by more
+    than that bound's own :func:`_slack` raises ValueError."""
     rows = np.asarray(rows, dtype=np.intp)
     vals = mc.product_at(W, H, rows, cols)  # raises IndexError on a cell out of range
     if bounds is not None:
         lo = bounds.lower[rows]
         hi = bounds.upper[rows]
         finite = np.isfinite(lo) & np.isfinite(hi)
-        slack = _slack(hi[finite])
-        if not (np.all(vals[finite] >= lo[finite] - slack)
-                and np.all(vals[finite] <= hi[finite] + slack)):
+        v, a, b = vals[finite], lo[finite], hi[finite]
+        if not (np.all(v >= a - _slack(a)) and np.all(v <= b + _slack(b))):
             raise ValueError("prediction escapes per-row bounds")
         vals = np.clip(vals, lo, hi)
     return vals

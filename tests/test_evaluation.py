@@ -94,8 +94,33 @@ class TestSplit:
     def test_item_filter(self):
         ds = RatingsDataset(3, 2, [0, 1, 0, 1, 2, 2], [0, 0, 1, 1, 0, 1],
                             [3.0, 4.0, 2.0, 5.0, 1.0, 2.0])
-        fold = split(ds, SplitSpec(test_user_count=1, min_ratings_per_item=3, seed=0))
+        fold = split(ds, SplitSpec(test_user_count=1, known_fraction=0.5,
+                                   min_ratings_per_item=3, seed=0))
         assert fold.num_items == 2  # both items have 3 ratings
+
+    def test_no_test_user_with_a_rating_to_hold_out_raises(self):
+        """12 users with 3 ratings each: at known_fraction 0.8 every test user
+        keeps all 3 as known, so nothing would be held out."""
+        users, items = np.divmod(np.arange(36), 3)
+        ds = RatingsDataset(12, 3, users, items, np.ones(36))
+        with pytest.raises(ValueError, match="hold out"):
+            split(ds, SplitSpec(test_user_count=4, min_ratings_per_item=1, seed=0))
+
+    def test_test_users_without_a_held_out_rating_are_skipped(self):
+        """Users 0-5 have 4 ratings (ceil(0.8 * 4) = 4, none held out), users
+        6-11 have 5 (4 known, 1 held out). Every test user left in the fold
+        has a held-out rating, and the others are counted as skipped."""
+        users = np.repeat(np.arange(12), [4] * 6 + [5] * 6)
+        items = np.concatenate([np.arange(4)] * 6 + [np.arange(5)] * 6)
+        ds = RatingsDataset(12, 5, users, items, np.ones(users.size))
+        spec = SplitSpec(test_user_count=8, min_ratings_per_item=1, seed=0)
+        test_users = np.random.default_rng(0).choice(12, size=8, replace=False)
+        with pytest.warns(UserWarning, match="no rating left to hold out"):
+            fold = split(ds, spec)
+        assert fold.skipped_test_users == int(np.sum(test_users < 6))
+        assert fold.M_known.cols == int(np.sum(test_users >= 6))
+        held = np.bincount(fold.M_heldout.col_idx, minlength=fold.M_heldout.cols)
+        assert np.all(held == 1)
 
     def test_duplicate_rating_rejected(self):
         with pytest.raises(ValueError, match="duplicate rating for user 0, item 0"):
@@ -188,7 +213,8 @@ def _reference_cells(ds, spec):
         if i in row_of:
             by_user[u] = by_user.get(u, []) + [(row_of[i], v)]
     train = sorted(u for u in by_user if u not in test_users)
-    usable = sorted(u for u in test_users if len(by_user.get(u, [])) >= 2)
+    usable = sorted(u for u in test_users
+                    if math.ceil(spec.known_fraction * (k := len(by_user.get(u, [])))) < k)
     side = [{(i, j): v for j, u in enumerate(users) for i, v in by_user[u]}
             for users in (train, usable)]
     known = set()
@@ -217,11 +243,14 @@ class TestSplitProperties:
         assert known | held == set(test) and not known & held
         assert known == ref_known
         assert fold.skipped_test_users == skipped
-        # each kept rating is placed once, except those of skipped test users
-        # (fewer than 2 each)
+        # each kept rating is placed once, except the k of each skipped test
+        # user (ceil(known_fraction * k) = k)
         kept = np.bincount(ds.items, minlength=ds.num_items) >= spec.min_ratings_per_item
         unplaced = int(kept[ds.items].sum()) - len(train) - len(test)
-        assert 0 <= unplaced <= skipped
+        test_users = np.random.default_rng(spec.seed).choice(
+            ds.num_users, size=spec.test_user_count, replace=False)
+        k = np.bincount(ds.users[kept[ds.items]], minlength=ds.num_users)[test_users]
+        assert unplaced == int(k[np.ceil(spec.known_fraction * k) >= k].sum())
 
     @settings(max_examples=100, deadline=None)
     @given(small_datasets())

@@ -188,3 +188,21 @@ class TestGenerateSynthetic:
         W, _, _ = generate_synthetic(spec)
         pinned = int(np.sum((W == 0) | (W == 1)))
         assert abs(pinned - 0.30 * 50 * 6) <= 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 0), ("m", -5), ("n", 0), ("r", 1), ("r", 0), ("r", 11),
+        ("h_zero_fraction", -0.1), ("h_zero_fraction", 1.5), ("h_zero_fraction", np.nan),
+        ("p01", -0.1), ("p01", 2.0), ("p01", np.nan),
+    ])
+    def test_spec_it_cannot_build_raises(self, field, value):
+        spec = SyntheticSpec(m=10, n=12, r=3, seed=1)
+        setattr(spec, field, value)
+        with pytest.raises(ValueError, match=field if field != "n" else "size"):
+            generate_synthetic(spec)
+
+    def test_rank_up_to_min_size_builds(self):
+        W, H, X = generate_synthetic(SyntheticSpec(m=4, n=4, r=2, seed=0))
+        assert W.shape == (4, 2) and H.shape == (2, 4)
+        W, H, X = generate_synthetic(SyntheticSpec(m=6, n=30, r=6, h_zero_fraction=0.6,
+                                                   p01=1.0, seed=0))
+        assert W.shape == (6, 6) and np.all((W == 0) | (W == 1))

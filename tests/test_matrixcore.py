@@ -9,7 +9,6 @@ from bssmf.matrixcore import (
     ObservationMask,
     ShapeError,
     Workspace,
-    block_gradient,
     gradient_H,
     gradient_W,
     masked_residual,
@@ -309,8 +308,8 @@ class TestBlockGradient:
         m, n = M.rows, M.cols
         X = rng.uniform(-2, 2, size=(m, n))
         W0, H0 = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
-        grad_W = block_gradient(X, H0, M, "W")
-        grad_H = block_gradient(X, W0, M, "H")
+        grad_W = lambda W: gradient_W(X, W, H0, M)
+        grad_H = lambda H: gradient_H(X, W0, H, M)
         Ws = [rng.uniform(-1, 1, size=(m, r)) for _ in range(3)]
         Hs = [rng.uniform(-1, 1, size=(r, n)) for _ in range(3)]
         first_W, first_H = grad_W(Ws[0]), grad_H(Hs[0])
@@ -322,16 +321,6 @@ class TestBlockGradient:
         # the cached work is not disturbed by later calls
         assert np.array_equal(grad_W(Ws[0]), first_W)
         assert np.array_equal(grad_H(Hs[0]), first_H)
-
-    @settings(max_examples=60, deadline=None)
-    @given(gradient_problems())
-    def test_gradient_functions_use_one_build(self, problem):
-        M, r, seed = problem
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(size=(M.rows, M.cols))
-        W, H = rng.uniform(size=(M.rows, r)), rng.uniform(size=(r, M.cols))
-        assert np.array_equal(gradient_W(X, W, H, M), block_gradient(X, H, M, "W")(W))
-        assert np.array_equal(gradient_H(X, W, H, M), block_gradient(X, W, M, "H")(H))
 
     @settings(max_examples=60, deadline=None)
     @given(masked_problems(), st.integers(1, 5))
@@ -352,7 +341,8 @@ class TestBlockGradient:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(M.rows, M.cols))
         W, H = rng.uniform(size=(M.rows, r)), rng.uniform(size=(r, M.cols))
-        for grad, A in ((block_gradient(X, H, M, "W"), W), (block_gradient(X, W, M, "H"), H)):
+        for grad, A in ((lambda A: gradient_W(X, A, H, M), W),
+                        (lambda A: gradient_H(X, W, A, M), H)):
             first = grad(A)
             want = first.copy()
             first[...] = np.nan
@@ -362,15 +352,15 @@ class TestBlockGradient:
     def test_rejects_bad_side_and_shapes(self):
         X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
         with pytest.raises(ValueError, match="side"):
-            block_gradient(X, np.ones((2, 3)), M, "V")
+            step_map(X, np.ones((2, 3)), M, "V", 1.0)
         with pytest.raises(ShapeError):
-            block_gradient(X, np.ones((2, 4)), M, "W")
+            gradient_W(X, np.ones((4, 2)), np.ones((2, 4)), M)
         with pytest.raises(ShapeError):
-            block_gradient(X, np.ones((3, 2)), M, "H")
+            gradient_H(X, np.ones((3, 2)), np.ones((2, 3)), M)
         with pytest.raises(ShapeError):
-            block_gradient(X, np.ones((2, 3)), ObservationMask.full(4, 4), "W")
+            gradient_W(X, np.ones((4, 2)), np.ones((2, 3)), ObservationMask.full(4, 4))
         with pytest.raises(ShapeError):
-            block_gradient(X, np.ones((2, 3)), M, "W")(np.ones((4, 3)))
+            gradient_W(X, np.ones((4, 3)), np.ones((2, 3)), M)
 
 
 @st.composite
@@ -460,9 +450,9 @@ class TestBlockedProduct:
             assert objective(X, W, H, M) == 0.5 * float(np.sum(np.square(w * x_minus_wh)))
             S[ri, ci] *= w
             for x in (X, M.observed(X)):  # dense data or its observed values
-                assert block_gradient(x, H, M, "W")(W) == pytest.approx(
+                assert gradient_W(x, W, H, M) == pytest.approx(
                     -S @ H.T, rel=1e-12, abs=1e-13)
-                assert block_gradient(x, W, M, "H")(H) == pytest.approx(
+                assert gradient_H(x, W, H, M) == pytest.approx(
                     -W.T @ S, rel=1e-12, abs=1e-13)
 
     @settings(max_examples=150, deadline=None)
@@ -506,7 +496,7 @@ class TestBlockedProduct:
         assert product_at(W, H, [], []).shape == (0,)
         M = ObservationMask(3, 4, [], [], [])
         assert objective(np.ones((3, 4)), W, H, M) == 0.0
-        assert np.array_equal(block_gradient(np.ones((3, 4)), H, M, "W")(W), np.zeros((3, 2)))
+        assert np.array_equal(gradient_W(np.ones((3, 4)), W, H, M), np.zeros((3, 2)))
 
     def test_cell_out_of_range(self):
         with pytest.raises(IndexError):
@@ -593,6 +583,11 @@ def _variant_factors(kind, rng, m, n, r):
     return rng.standard_normal((m, r)), rng.standard_normal((r, n))
 
 
+def _gradient(X, F, M, side, F_bar):
+    """The gradient in the free factor F_bar with F frozen, as step_map's sides name them."""
+    return gradient_W(X, F_bar, F, M) if side == "W" else gradient_H(X, F, F_bar, M)
+
+
 class TestStepMap:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["bssmf", "nmf", "mf"]), st.integers(1, 9), st.integers(1, 9),
@@ -608,7 +603,7 @@ class TestStepMap:
         for side, F, F_bar, G in (("W", H, W_bar, H @ H.T), ("H", W, H_bar, W.T @ W)):
             L = max(spectral_norm(G), 1e-12) * rng.uniform(1.0, 3.0)
             step = step_map(X, F, M, side, L, G if pass_gram else None)
-            want = F_bar - block_gradient(X, F, M, side)(F_bar) / L
+            want = F_bar - _gradient(X, F, M, side, F_bar) / L
             got = step(F_bar)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -624,7 +619,7 @@ class TestStepMap:
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
         work = Workspace(M)
         for side, F, F_bar in (("W", H, W), ("H", W, H), ("W", H + 0.5, W - 0.5)):
-            want = F_bar - block_gradient(X, F, M, side)(F_bar) / 3.0
+            want = F_bar - _gradient(X, F, M, side, F_bar) / 3.0
             assert np.array_equal(step_map(X, F, M, side, 3.0, None, work)(F_bar), want)
 
     def test_rejects_bad_side_and_shapes(self):
@@ -642,8 +637,8 @@ class TestSparseWorkspace:
     @given(masked_problems(), st.integers(1, 4), st.booleans())
     def test_shared_workspace_bit_equal_to_fresh_gradients(self, problem, r, unit):
         """Consecutive blocks and objectives that share one workspace, as a
-        solve's do, give the gradients of a fresh block_gradient at each
-        point, and the objective of fresh buffers."""
+        solve's do, give the gradients of fresh gradient_W/gradient_H calls
+        at each point, and the objective of fresh buffers."""
         m, n, rows, cols, w, _, seed = problem
         M = ObservationMask(m, n, rows, cols, np.ones(w.size) if unit else w)
         rng = np.random.default_rng(seed)
@@ -654,11 +649,11 @@ class TestSparseWorkspace:
         for _ in range(3):  # W block, then H block, with new frozen factors each time
             grad = mc._sparse_gradient(x, H, M, "W", work)
             for A in (W, W + 1.0):
-                assert np.array_equal(grad(A), block_gradient(X, H, M, "W")(A))
+                assert np.array_equal(grad(A), gradient_W(X, A, H, M))
             W = rng.uniform(size=(m, r))
             grad = mc._sparse_gradient(x, W, M, "H", work)
             for A in (H, H + 1.0):
-                assert np.array_equal(grad(A), block_gradient(X, W, M, "H")(A))
+                assert np.array_equal(grad(A), gradient_H(X, W, A, M))
             H = rng.uniform(size=(r, n))
             assert objective(X, W, H, M, work) == objective(X, W, H, M)
 
@@ -671,11 +666,11 @@ class TestSparseWorkspace:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(m, n))
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
-        skipped = [block_gradient(X, H, M, "W")(W), block_gradient(X, W, M, "H")(H),
+        skipped = [gradient_W(X, W, H, M), gradient_H(X, W, H, M),
                    masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "_w2", np.ones(M.nnz))  # multiply by the squared weights
-            multiplied = [block_gradient(X, H, M, "W")(W), block_gradient(X, W, M, "H")(H),
+            multiplied = [gradient_W(X, W, H, M), gradient_H(X, W, H, M),
                           masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
         for a, b in zip(skipped, multiplied):
             assert np.array_equal(a, b)

@@ -20,6 +20,7 @@ import bssmf.matrixcore as mc
 from bssmf.identifiability import SyntheticSpec, generate_synthetic
 from bssmf.matrixcore import objective
 from bssmf.preprocessing import infer_bounds
+from bssmf.projections import project_simplex_columns
 from bssmf.solver import ConfigError, _check_observed, initialize
 
 from conftest import random_mask
@@ -613,6 +614,26 @@ class TestPredict:
         H = np.array([[1.0]])
         with pytest.raises(ValueError, match="escapes"):
             predict_cells(W, H, [0], [0], bounds=BoundsVector.constant(1, 0, 1))
+
+    def test_each_bound_has_its_own_slack(self):
+        """With bounds [-1e9, 1], a feasible W and simplex columns that put
+        no weight on the vertex at 1, WH lands up to about 1e-7 below -1e9:
+        inside the lower bound's slack (1.0), outside the upper one's (1e-9)."""
+        bounds = BoundsVector(np.array([-1e9]), np.array([1.0]))
+        W = np.array([[-1e9, -1e9, 1.0]])
+        H = project_simplex_columns(np.random.default_rng(0).uniform(size=(3, 2000)))
+        H[2] = 0.0
+        H[1] = 1.0 - H[0]
+        cols = np.arange(H.shape[1])
+        vals = predict_cells(W, H, np.zeros_like(cols), cols, bounds=bounds)
+        assert np.all(vals >= -1e9)  # clipped
+        assert np.any(mc.product_at(W, H, np.zeros_like(cols), cols) < -1e9 - 1e-9)
+
+    @pytest.mark.parametrize("value", [-1e9 - 2.0, 1.0 + 2e-9])
+    def test_two_slacks_beyond_either_bound_raises(self, value):
+        bounds = BoundsVector(np.array([-1e9]), np.array([1.0]))
+        with pytest.raises(ValueError, match="escapes"):
+            predict_cells(np.array([[value]]), np.array([[1.0]]), [0], [0], bounds=bounds)
 
 
 class TestInnerStep:
