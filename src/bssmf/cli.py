@@ -8,7 +8,8 @@ the code: OSError or io_formats.DataFormatError gives 3, any other
 ValueError (ConfigError, ShapeError) 2. Only the ``factorize`` solve (1 for
 a ValueError or FloatingPointError other than ConfigError) and ``synth``
 (11 for a RuntimeError) decide locally; checks that find no exception
-return their code. Each failure prints one ``error:`` line to stderr.
+return their code, such as 1 for a ``factorize`` or ``center-demo`` solve
+that stops "diverged". Each failure prints one ``error:`` line to stderr.
 """
 
 import argparse
@@ -42,10 +43,10 @@ def _parse_bounds(spec_str, X, M):
         return prep.infer_bounds(X, M)
     if ":" in spec_str:
         lo, hi = spec_str.split(":", 1)
-        return BoundsVector.constant(X.shape[0], float(lo), float(hi))
+        return BoundsVector.constant(M.rows, float(lo), float(hi))
     B = iof.read_dense_csv(spec_str)
-    if B.shape != (X.shape[0], 2):
-        raise ValueError(f"bounds file must have {X.shape[0]} rows of two columns (lower, upper)")
+    if B.shape != (M.rows, 2):
+        raise ValueError(f"bounds file must have {M.rows} rows of two columns (lower, upper)")
     return BoundsVector(B[:, 0], B[:, 1])
 
 
@@ -192,6 +193,9 @@ def cmd_center_demo(args):
                     seed=seed,
                 )
                 _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
+                if rep.stop_reason == "diverged":
+                    return _fail(EXIT_NUMERICAL, f"solve diverged in scenario {mode}_{label} with "
+                                                 f"seed {seed} after {rep.outer_iterations} passes")
                 traces.append(rep.objective_trace)
             series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     cols = list(series)  # plain, centered, uneven; alg1 before bcd in each

@@ -2,7 +2,8 @@
 
 The data matrix is item-by-user. Training learns (W, H) on the non-test
 users; at test time W is frozen and only the H block is fitted on each test
-user's known ratings, then RMSE is computed on the held-out ones.
+user's known ratings, then RMSE is computed on the held-out ones. Each mask
+of a :class:`Fold` holds its ratings as ``values``; no m x n matrix is built.
 """
 
 import warnings
@@ -76,15 +77,23 @@ class SplitSpec:
 
 @dataclass
 class Fold:
-    """Item-by-user matrices and masks for one train/test split."""
+    """Item-by-user masks for one train/test split, with the training users'
+    ratings and the test users' known and held-out ones as their ``values``."""
 
-    X_train: np.ndarray
     M_train: ObservationMask
-    X_test: np.ndarray
     M_known: ObservationMask
     M_heldout: ObservationMask
     num_items: int
     skipped_test_users: int = 0
+
+    @property
+    def X_train(self):
+        """The training ratings as a dense matrix, built on each read; only the
+        benchmark's scoring reads it, and it goes once that reads M_train.values."""
+        M = self.M_train
+        X = np.zeros((M.rows, M.cols))
+        X[M.row_idx, M.col_idx] = M.values
+        return X
 
 
 @dataclass
@@ -147,19 +156,13 @@ def split(dataset, spec):
         known[starts[u] + rng.permutation(per_user[u])[: n_known[u]]] = True
     held = usable[users] & ~known
 
-    def matrix(sel, side_users):
-        X = np.zeros((n_items, side_users.size))
-        X[rows[sel], np.searchsorted(side_users, users[sel])] = values[sel]
-        return X
-
     def mask(sel, side_users):
         cols = np.searchsorted(side_users, users[sel])
-        return ObservationMask(n_items, side_users.size, rows[sel], cols, np.ones(cols.size))
+        return ObservationMask(n_items, side_users.size, rows[sel], cols, np.ones(cols.size),
+                               values[sel])
 
     return Fold(
-        X_train=matrix(in_train, train_users),
         M_train=mask(in_train, train_users),
-        X_test=matrix(known | held, usable_test),
         M_known=mask(known, usable_test),
         M_heldout=mask(held, usable_test),
         num_items=n_items,
@@ -176,7 +179,8 @@ def rmse(predictions, truths):
 
 
 def solve_h_given_w(X, M, W, variant, config):
-    """Fit only the H block against a frozen W (test-time adaptation).
+    """Fit only the H block against a frozen W (test-time adaptation). X is
+    the data or its observed values, as :func:`solver.solve` takes it.
 
     W never changes, so the max_outer passes of max_inner_H steps are one
     block of max_outer * max_inner_H steps with one gradient build. Like
@@ -184,8 +188,8 @@ def solve_h_given_w(X, M, W, variant, config):
     """
     r = W.shape[1]
     rng = np.random.default_rng(config.seed)
-    H = variant.project_H(rng.uniform(size=(r, X.shape[1])))
-    x = M.observed(X)
+    H = variant.project_H(rng.uniform(size=(r, M.cols)))
+    x = M.observed(np.asarray(X, dtype=np.float64))
     floor = sv._check_observed(x, M)
     G = W.T @ W
     state = sv._BlockState(max(mc.spectral_norm(G), floor))
@@ -210,25 +214,19 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
         raise ValueError("held-out cells leaked into the adaptation mask")
     variant = sv.ModelVariant.from_kind(
         variant_kind, BoundsVector.constant(fold.num_items, *value_range))
-    factors, report = sv.solve(fold.X_train, fold.M_train, variant, config)
+    factors, report = sv.solve(fold.M_train.values, fold.M_train, variant, config)
     W = factors.W
-
-    H_test = solve_h_given_w(fold.X_test, fold.M_known, W, variant, config)
-
+    H_test = solve_h_given_w(fold.M_known.values, fold.M_known, W, variant, config)
     bounds = variant.bounds if variant_kind == sv.BSSMF else None
-    hr, hc = fold.M_heldout.row_idx, fold.M_heldout.col_idx
-    preds = sv.predict_cells(W, H_test, hr, hc, bounds=bounds)
-    rmse_test = rmse(preds, fold.X_test[hr, hc])
 
-    tr, tc = fold.M_train.row_idx, fold.M_train.col_idx
-    train_preds = sv.predict_cells(factors.W, factors.H, tr, tc, bounds=bounds)
-    rmse_train = rmse(train_preds, fold.X_train[tr, tc])
+    def rmse_at(M, H):  # of the predictions WH against the ratings at M's cells
+        return rmse(sv.predict_cells(W, H, M.row_idx, M.col_idx, bounds=bounds), M.values)
 
     return EvalReport(
         rank=config.rank,
         variant=variant_kind,
-        rmse_test=rmse_test,
-        rmse_train=rmse_train,
+        rmse_test=rmse_at(fold.M_heldout, H_test),
+        rmse_train=rmse_at(fold.M_train, factors.H),
         seeds_used=1,
         rmse_std=0.0,
         wall_time=report.wall_time,

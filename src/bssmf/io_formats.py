@@ -183,7 +183,7 @@ def _mm_header(path):
 
 
 def read_matrix_market(path):
-    """Coordinate-real-general MatrixMarket file -> (dense matrix, mask)."""
+    """Coordinate-real-general MatrixMarket file -> (M.values, M), weights 1."""
     m, n, nnz, skip, has_entries = _mm_header(path)
     try:
         entries = (np.loadtxt(path, dtype=_MM_ENTRY, comments=None, skiprows=skip,
@@ -195,16 +195,13 @@ def read_matrix_market(path):
             raise ValueError(f"{entries.size} entries for {nnz}, or a bad index or value")
     except ValueError as err:
         raise DataFormatError(f"{path}: {_bad_mm_entry(path, skip, m, n, nnz) or err}") from None
-    rows, cols = i - 1, j - 1
     try:
-        M = ObservationMask(m, n, rows, cols, np.ones(nnz))
+        M = ObservationMask(m, n, i - 1, j - 1, np.ones(nnz), vals)
     except DuplicateCellError as e:
         raise DataFormatError(f"{path}: duplicate entry ({e.row + 1}, {e.col + 1})") from None
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
-    X = np.zeros((m, n))
-    X[rows, cols] = vals
-    return X, M
+    return M.values, M
 
 
 def _bad_mm_entry(path, skip, m, n, nnz):

@@ -43,9 +43,9 @@ and exact-recovery checks need the small residual. For a full mask it forms WH
 once and subtracts and squares in that buffer, so each evaluation allocates
 one m x n array and never writes X, W or H.
 
-Wherever a kernel takes the data X, it also takes the observed values
-``M.observed(X)`` in their place, so a caller that evaluates many times can
-gather them once.
+Sparse data is its observed values, kept by the mask in its cell order as
+``M.values``. A kernel takes the data X as the m x n array or, for a sparse
+mask, as those 1-D values (``M.observed(X)``); the shape is the mask's.
 
 scipy is imported only where a sparse mask is built: its CSC pattern is the
 one scipy object here, and the kernels that return or multiply by a sparse
@@ -77,26 +77,29 @@ class ObservationMask:
     entries. A sparse mask keeps its cells in canonical column-major order
     (sorted by column, then row), whatever order they were given in, together
     with the matching CSC pattern, the squared weights and the column-block
-    plan of the product at its cells. This class is the only place that tells
-    the two cases apart: callers read observed values through :meth:`observed`
-    and :meth:`row_extrema`.
+    plan of the product at its cells, and ``values`` (one per cell) permuted
+    with the cells, or None. This class is the only place that tells the two
+    cases apart: callers read data through :meth:`observed` and :meth:`row_extrema`.
     """
 
-    def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, _full=False):
+    def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, values=None,
+                 _full=False):
         if rows < 1 or cols < 1:
             raise ShapeError(f"mask shape must be positive, got {rows}x{cols}")
         self.rows = int(rows)
         self.cols = int(cols)
         self._full = _full
         if _full:
-            self.row_idx = self.col_idx = self.weights = None
-            self._flat = self._pattern = self._w2 = self._plan = None
+            self.row_idx = self.col_idx = self.weights = self.values = None
+            self._pattern = self._w2 = self._plan = None
             return
         row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
         col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
         weights = np.asarray(weights if weights is not None else [], dtype=np.float64)
         if not (row_idx.shape == col_idx.shape == weights.shape):
             raise ShapeError("mask index/weight arrays must have equal length")
+        if values is not None and np.shape(values) != row_idx.shape:
+            raise ShapeError(f"{np.size(values)} values for {row_idx.size} mask cells")
         if row_idx.size:
             if row_idx.min() < 0 or row_idx.max() >= rows:
                 raise ShapeError("mask row index out of range")
@@ -114,7 +117,7 @@ class ObservationMask:
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         self.weights = weights[order]
-        self._flat = self.row_idx * cols + self.col_idx  # row-major offsets
+        self.values = None if values is None else np.asarray(values, np.float64)[order]
         indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
         import scipy.sparse as sp  # loaded by the first sparse mask only
 
@@ -142,11 +145,7 @@ class ObservationMask:
             return A
         if A.shape != (self.rows, self.cols):
             raise ShapeError(f"array shape {A.shape} != mask shape {self.rows}x{self.cols}")
-        if self._full:
-            return A
-        if A.flags.c_contiguous:  # a flat gather is about 2.5x faster
-            return np.take(A, self._flat)
-        return A[self.row_idx, self.col_idx]
+        return A if self._full else A[self.row_idx, self.col_idx]
 
     def row_extrema(self, A):
         """Per-row (min, max) of A over observed cells; (inf, -inf) for a row

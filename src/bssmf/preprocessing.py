@@ -7,7 +7,8 @@ from .projections import BoundsVector
 
 
 def infer_bounds(X, M=None):
-    """Tightest data-consistent per-row bounds: observed min/max of each row."""
+    """Tightest data-consistent per-row bounds: observed min/max of each row.
+    X is the data or, with a sparse mask M, its observed values."""
     X = np.asarray(X, dtype=np.float64)
     M = ObservationMask.full(*X.shape) if M is None else M
     lo, hi = M.row_extrema(X)

@@ -19,7 +19,8 @@ class BoundsVector:
             raise ValueError("bounds must not contain NaN")
         if np.any(self.lower > self.upper):
             i = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"lower({i}) > upper({i})")
+            raise ValueError(f"lower bound {float(self.lower[i])} > "
+                             f"upper bound {float(self.upper[i])} at row {i}")
 
     def __len__(self):
         return self.lower.size

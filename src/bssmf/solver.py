@@ -111,10 +111,10 @@ class SolveReport:
     stop_reason: str = "max_iters"  # or "tol_reached", "diverged"
 
 
-def initialize(X, M, variant, config):
+def initialize(M, variant, config):
     """Random feasible starting point: W(i,:) ~ U[a_i, b_i] (U[0,1] on
     unbounded rows), H ~ U[0,1] column-projected onto the variant's set."""
-    m, n = X.shape
+    m, n = M.rows, M.cols
     config.validate(m, n)
     r = config.rank
     rng = np.random.default_rng(config.seed)
@@ -213,6 +213,8 @@ def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate,
 def solve(X, M, variant, config):
     """Run the block-coordinate solver; returns (FactorPair, SolveReport).
 
+    X is the m x n data or, for a sparse mask, its observed values M.values.
+
     With config.center set (bssmf variant only), L_H is ||(W - c)^T (W - c)||_2
     for c the mean of the observed values; data, bounds, start, objectives and
     the returned W are the caller's own. This is the solve of x - c on
@@ -229,10 +231,8 @@ def solve(X, M, variant, config):
     overflow), the solve stops with stop_reason "diverged" and returns the
     iterate before that pass; outer_iterations counts the finite passes.
     """
-    X = np.asarray(X, dtype=np.float64)
-    m, n = X.shape
-    config.validate(m, n)
-    x = M.observed(X)  # gathered once; every kernel below takes it for X
+    config.validate(M.rows, M.cols)
+    x = M.observed(np.asarray(X, dtype=np.float64))  # every kernel below takes it for X
     c = 0.0
     if config.center:
         if variant.kind != BSSMF:
@@ -246,7 +246,7 @@ def solve(X, M, variant, config):
         Wc = W - c if c else W
         return Wc.T @ Wc
 
-    factors = initialize(X, M, variant, config)
+    factors = initialize(M, variant, config)
     report = SolveReport()
     if M.nnz == 0:
         report.objective_trace = [0.0]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from bssmf.cli import (
     EXIT_SSC_FAIL,
     main,
 )
-from bssmf.io_formats import read_dense_csv, write_dense_csv
+from bssmf.io_formats import read_dense_csv, read_matrix_market, write_dense_csv
 from bssmf.matrixcore import ObservationMask, objective
+from bssmf.projections import BoundsVector
+from bssmf.solver import ModelVariant, SolverConfig, solve
 
 from conftest import EXAMPLE_H, EXAMPLE_W, EXAMPLE_X
 
@@ -97,6 +100,30 @@ class TestFactorize:
                          "--bounds", "0:2e200", "--out-prefix", str(tmp_path / "o_")])
         assert code == EXIT_NUMERICAL
         assert "error: solve diverged" in capsys.readouterr().err
+
+    def test_crossed_bounds_exit(self, example_csv, capsys):
+        assert main(["factorize", "--input", example_csv, "--rank", "2",
+                     "--bounds", "2:1"]) == EXIT_CONFIG
+        assert "error: lower bound 2.0 > upper bound 1.0 at row 0" in capsys.readouterr().err
+
+    def test_huge_sparse_file_builds_no_dense_matrix(self, tmp_path):
+        # 10^10 cells of which 6 are observed: a dense matrix would take 74.5 GiB
+        p = tmp_path / "huge.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n100000 100000 6\n"
+                     "1 1 0.5\n2 7 0.25\n50000 3 1\n99999 99999 0\n"
+                     "100000 100000 0.75\n3 50000 0.125\n")
+        tracemalloc.start()
+        try:
+            x, M = read_matrix_market(p)
+            variant = ModelVariant.bssmf(BoundsVector.constant(M.rows, 0.0, 1.0))
+            _, report = solve(x, M, variant, SolverConfig(rank=2, max_outer=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.outer_iterations == 3 and report.stop_reason == "max_iters"
+        assert peak < 100 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+        assert main(["factorize", "--input", str(p), "--rank", "2", "--bounds", "0:1",
+                     "--outer", "3", "--out-prefix", str(tmp_path / "f_")]) == EXIT_OK
 
     def test_malformed_bounds_exit(self, example_csv, capsys):
         assert main(["factorize", "--input", example_csv, "--rank", "2",
@@ -248,6 +275,19 @@ class TestCenterDemo:
         assert header == ["iteration", "plain_alg1", "plain_bcd",
                           "centered_alg1", "centered_bcd",
                           "uneven_alg1", "uneven_bcd"]
+
+    def test_diverged_solve_exit(self, tmp_path, capsys):
+        # finite entries whose squares overflow: no table of inf is written
+        p = tmp_path / "X.csv"
+        write_dense_csv(p, np.random.default_rng(0).uniform(0.5, 1.5, size=(8, 6)) * 1e200)
+        out = tmp_path / "demo.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["center-demo", "--input", str(p), "--rank", "2", "--seeds", "2",
+                         "--outer", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert ("error: solve diverged in scenario plain_alg1 with seed 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_zero_seeds_exit(self, tmp_path, capsys, example_csv):
         out = tmp_path / "demo.csv"

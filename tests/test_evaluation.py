@@ -273,14 +273,16 @@ class TestSplitProperties:
         if fold is None:
             return
         train, test, _, _ = _reference_cells(ds, spec)
-        for X, cells in ((fold.X_train, train), (fold.X_test, test)):
-            expected = np.zeros_like(X)
-            for (i, j), v in cells.items():
-                expected[i, j] = v
-            assert np.array_equal(X, expected)
-        for X, M in ((fold.X_train, fold.M_train), (fold.X_test, fold.M_known),
-                     (fold.X_test, fold.M_heldout)):
-            assert np.all(X[M.row_idx, M.col_idx] >= 1)
+        for masks, cells in (((fold.M_train,), train), ((fold.M_known, fold.M_heldout), test)):
+            held = sorted(((i, j), v) for M in masks for i, j, v in
+                          zip(M.row_idx.tolist(), M.col_idx.tolist(), M.values.tolist()))
+            assert held == sorted(cells.items())
+        expected = np.zeros((fold.M_train.rows, fold.M_train.cols))
+        for (i, j), v in train.items():
+            expected[i, j] = v
+        assert np.array_equal(fold.X_train, expected)
+        for M in (fold.M_train, fold.M_known, fold.M_heldout):
+            assert np.all(M.values >= 1)
             assert np.array_equal(M.weights, np.ones(M.nnz))
 
     @settings(max_examples=50, deadline=None)
@@ -291,11 +293,10 @@ class TestSplitProperties:
         if f1 is None:
             assert f2 is None
             return
-        for name in ("X_train", "X_test"):
-            assert np.array_equal(getattr(f1, name), getattr(f2, name))
+        assert np.array_equal(f1.X_train, f2.X_train)
         for name in ("M_train", "M_known", "M_heldout"):
             a, b = getattr(f1, name), getattr(f2, name)
-            for field in ("row_idx", "col_idx", "weights"):
+            for field in ("row_idx", "col_idx", "weights", "values"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
         assert f1.skipped_test_users == f2.skipped_test_users
 
@@ -335,11 +336,12 @@ class TestEvaluateFold:
         assert rep.rmse_test >= 0
 
     def test_leaked_heldout_cell_rejected(self):
-        X = np.full((3, 2), 3.0)
-        known = ObservationMask(3, 2, [0, 1, 2], [0, 1, 1], np.ones(3))
-        held = ObservationMask(3, 2, [1, 2], [0, 1], np.ones(2))  # (2, 1) is in both
-        fold = Fold(X_train=X, M_train=ObservationMask.full(3, 2), X_test=X,
-                    M_known=known, M_heldout=held, num_items=3)
+        train = ObservationMask(3, 2, [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1], np.ones(6),
+                                np.full(6, 3.0))
+        known = ObservationMask(3, 2, [0, 1, 2], [0, 1, 1], np.ones(3), np.full(3, 3.0))
+        # (2, 1) is in both
+        held = ObservationMask(3, 2, [1, 2], [0, 1], np.ones(2), np.full(2, 3.0))
+        fold = Fold(M_train=train, M_known=known, M_heldout=held, num_items=3)
         with pytest.raises(ValueError, match="leaked"):
             evaluate_fold(fold, "bssmf", SolverConfig(rank=1, max_outer=1))
 
@@ -430,17 +432,18 @@ class TestSolveHGivenW:
         ds, _, _ = synthetic_ratings(rng, num_users=30, num_items=20, noise=0.1)
         fold = split(ds, SplitSpec(test_user_count=8, known_fraction=0.6,
                                    min_ratings_per_item=1, seed=3))
-        X, M = fold.X_test, fold.M_known
-        W = rng.uniform(1, 5, size=(X.shape[0], 3))
-        var = sv.ModelVariant.bssmf(BoundsVector.constant(X.shape[0], 1, 5))
+        M = fold.M_known
+        x = M.values
+        W = rng.uniform(1, 5, size=(M.rows, 3))
+        var = sv.ModelVariant.bssmf(BoundsVector.constant(M.rows, 1, 5))
         cfg = SolverConfig(rank=3, max_outer=7, max_inner_H=2, seed=4)
 
-        H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, X.shape[1])))
+        H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, M.cols)))
         H_old = H
-        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._check_observed(X, M)))
+        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._check_observed(x, M)))
         for _ in range(cfg.max_outer):
-            H, H_old = sv.update_H_block(X, W, H, M, var, state, H_old,
+            H, H_old = sv.update_H_block(x, W, H, M, var, state, H_old,
                                          cfg.max_inner_H, cfg.extrapolate)
 
-        assert not M.is_full and M.nnz < X.size
-        assert np.array_equal(solve_h_given_w(X, M, W, var, cfg), H)
+        assert not M.is_full and M.nnz < M.rows * M.cols
+        assert np.array_equal(solve_h_given_w(x, M, W, var, cfg), H)

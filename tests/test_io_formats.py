@@ -150,12 +150,20 @@ class TestDenseCSV:
         assert B.dtype == np.float64 and np.array_equal(B, A)
 
 
+def _dense(x, M):
+    """The M.rows x M.cols matrix holding the values x at M's cells, zero elsewhere."""
+    X = np.zeros((M.rows, M.cols))
+    X[M.row_idx, M.col_idx] = x
+    return X
+
+
 class TestMatrixMarket:
     def test_single_entry(self, tmp_path):
         p = tmp_path / "a.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 5.0\n")
-        X, M = read_matrix_market(p)
-        assert X[0, 0] == 5.0 and M.nnz == 1
+        x, M = read_matrix_market(p)
+        assert np.array_equal(x, [5.0]) and x is M.values and M.nnz == 1
+        assert (M.rows, M.cols, M.row_idx[0], M.col_idx[0]) == (2, 2, 0, 0)
 
     def test_symmetric_rejected(self, tmp_path):
         p = tmp_path / "a.mtx"
@@ -169,8 +177,8 @@ class TestMatrixMarket:
         X[0, 1], X[2, 3], X[1, 0] = 2.5, -1.25, 7.0
         p = tmp_path / "rt.mtx"
         write_matrix_market(p, X, M)
-        X2, M2 = read_matrix_market(p)
-        assert np.array_equal(X, X2)
+        x2, M2 = read_matrix_market(p)
+        assert np.array_equal(X, _dense(x2, M2))
         assert set(zip(M2.row_idx, M2.col_idx)) == {(0, 1), (2, 3), (1, 0)}
 
     def test_out_of_bounds_index(self, tmp_path):
@@ -215,14 +223,14 @@ class TestMatrixMarket:
         p = tmp_path / "a.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n% a\n%\n"
                      "2 2 2\n 1  2 4.0\n\n  \n2\t1\t-1e-3\n\n")
-        X, M = read_matrix_market(p)
-        assert np.array_equal(X, [[0, 4], [-1e-3, 0]]) and M.nnz == 2
+        x, M = read_matrix_market(p)
+        assert np.array_equal(_dense(x, M), [[0, 4], [-1e-3, 0]]) and M.nnz == 2
 
     def test_no_entries(self, tmp_path):
         p = tmp_path / "a.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n2 3 0\n\n")
-        X, M = read_matrix_market(p)
-        assert np.array_equal(X, np.zeros((2, 3))) and M.nnz == 0
+        x, M = read_matrix_market(p)
+        assert np.array_equal(_dense(x, M), np.zeros((2, 3))) and M.nnz == 0 and x.shape == (0,)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6), full=st.booleans())
@@ -238,8 +246,9 @@ class TestMatrixMarket:
             X[~np.isin(np.arange(m * n), flat).reshape(m, n)] = 0.0
         p = tmp_path_factory.mktemp("mtx") / "a.mtx"
         write_matrix_market(p, X, M)
-        X2, M2 = read_matrix_market(p)
-        assert X2.dtype == np.float64 and np.array_equal(X2, X)
+        x2, M2 = read_matrix_market(p)
+        assert x2.dtype == np.float64 and np.array_equal(_dense(x2, M2), X)
+        assert np.array_equal(x2, M2.observed(X))
         rows, cols = ((np.repeat(np.arange(m), n), np.tile(np.arange(n), m)) if full
                       else (M.row_idx, M.col_idx))
         assert set(zip(M2.row_idx.tolist(), M2.col_idx.tolist())) == set(
@@ -249,9 +258,10 @@ class TestMatrixMarket:
         p = tmp_path / "a.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n"
                      "2 3 3\n2 3 6.0\n1 2 4.0\n2 1 5.0\n")
-        X, M = read_matrix_market(p)
-        assert np.array_equal(X, [[0, 4, 0], [5, 0, 6]])
+        x, M = read_matrix_market(p)
+        assert np.array_equal(_dense(x, M), [[0, 4, 0], [5, 0, 6]])
         assert np.array_equal(M.row_idx, [1, 0, 1]) and np.array_equal(M.col_idx, [0, 1, 2])
+        assert np.array_equal(x, [5.0, 4.0, 6.0])  # aligned with the cells, not file order
 
 
 class TestMovieLens:

@@ -265,6 +265,27 @@ class TestCanonicalMask:
         with pytest.raises(ShapeError):
             M.observed(np.zeros((m, n + 1)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(masked_problems(), st.booleans())
+    def test_values_follow_their_cells(self, problem, unit):
+        m, n, rows, cols, w, perm, seed = problem
+        rows, cols = rows[perm], cols[perm]
+        w = np.ones(rows.size) if unit else w[perm]
+        X, _, _ = _factors(seed, m, n)
+        values = X[rows, cols]
+        M = ObservationMask(m, n, rows, cols, w, values)
+        given_at = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
+        for k, (i, j) in enumerate(zip(M.row_idx.tolist(), M.col_idx.tolist())):
+            assert M.values[k] == given_at[i, j]
+        assert np.array_equal(M.observed(X), M.values)
+        assert M.observed(M.values) is M.values
+        for wrong in (np.zeros(rows.size - 1), np.zeros(rows.size + 1),
+                      np.zeros((rows.size, 1))):
+            with pytest.raises(ShapeError):
+                ObservationMask(m, n, rows, cols, w, wrong)
+        assert ObservationMask(m, n, rows, cols, w).values is None
+        assert ObservationMask.full(m, n).values is None
+
     @given(st.integers(1, 6), st.integers(1, 6))
     def test_full_mask_observed_is_no_copy(self, m, n):
         X = np.arange(float(m * n)).reshape(m, n)

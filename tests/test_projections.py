@@ -84,6 +84,11 @@ class TestBoundsVector:
         with pytest.raises(ValueError):
             BoundsVector([1.0, 0.0], [0.0, 1.0])
 
+    def test_crossed_bounds_name_row_and_values(self):
+        # the first crossed row, with both of its values
+        with pytest.raises(ValueError, match=r"^lower bound 2\.5 > upper bound -1\.0 at row 1$"):
+            BoundsVector([0.0, 2.5, 7.0], [1.0, -1.0, 3.0])
+
     def test_degenerate_rows_flagged(self):
         b = BoundsVector([0.0, 2.0], [1.0, 2.0])
         assert list(b.degenerate_rows()) == [1]

@@ -17,6 +17,7 @@ from bssmf import (
     solve_centered,
 )
 import bssmf.matrixcore as mc
+from bssmf.evaluation import solve_h_given_w
 from bssmf.identifiability import SyntheticSpec, generate_synthetic
 from bssmf.matrixcore import objective
 from bssmf.preprocessing import infer_bounds
@@ -43,7 +44,7 @@ def palm_reference(X, M, variant, config):
     """Independent plain projected-gradient BCD (no momentum machinery)."""
     from bssmf import matrixcore as mc
 
-    factors = initialize(X, M, variant, config)
+    factors = initialize(M, variant, config)
     W, H = factors.W, factors.H
     L_W = max(mc.spectral_norm(H @ H.T), 1e-12)
     L_H = max(mc.spectral_norm(W.T @ W), 1e-12)
@@ -75,36 +76,32 @@ class TestModelVariant:
 
 class TestInitialize:
     def test_deterministic(self):
-        X = np.random.default_rng(0).uniform(size=(6, 5))
         var = ModelVariant.bssmf(BoundsVector.constant(6, 0, 1))
         cfg = SolverConfig(rank=2, seed=42)
         M = ObservationMask.full(6, 5)
-        f1 = initialize(X, M, var, cfg)
-        f2 = initialize(X, M, var, cfg)
+        f1 = initialize(M, var, cfg)
+        f2 = initialize(M, var, cfg)
         assert np.array_equal(f1.W, f2.W) and np.array_equal(f1.H, f2.H)
+        assert f1.W.shape == (6, 2) and f1.H.shape == (2, 5)
 
     def test_degenerate_bounds_constant(self):
-        X = np.full((4, 3), 2.0)
         var = ModelVariant.bssmf(BoundsVector.constant(4, 2, 2))
-        f = initialize(X, ObservationMask.full(4, 3), var, SolverConfig(rank=2, seed=0))
+        f = initialize(ObservationMask.full(4, 3), var, SolverConfig(rank=2, seed=0))
         assert np.all(f.W == 2.0)
         assert feasible(f, var)
 
     def test_rank_one_simplex_singleton(self):
-        X = np.ones((3, 4))
         var = ModelVariant.bssmf(BoundsVector.constant(3, 0, 1))
-        f = initialize(X, ObservationMask.full(3, 4), var, SolverConfig(rank=1, seed=3))
+        f = initialize(ObservationMask.full(3, 4), var, SolverConfig(rank=1, seed=3))
         assert np.array_equal(f.H, np.ones((1, 4)))
 
     def test_feasible_every_variant(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(size=(5, 5))
         for var in (
             ModelVariant.bssmf(BoundsVector.constant(5, 0, 1)),
             ModelVariant.nmf(5),
             ModelVariant.mf(5),
         ):
-            f = initialize(X, ObservationMask.full(5, 5), var, SolverConfig(rank=3, seed=0))
+            f = initialize(ObservationMask.full(5, 5), var, SolverConfig(rank=3, seed=0))
             assert feasible(f, var)
 
 
@@ -537,6 +534,37 @@ class TestSparseSolveMemory:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes
+
+
+class TestObservedValues:
+    """A sparse mask's data may be given as its values, M.values, in place of
+    the dense matrix; a full mask's values are the matrix itself."""
+
+    @pytest.mark.parametrize("mask", ["full", "weighted", "unit"])
+    @pytest.mark.parametrize("kind", ["bssmf", "nmf", "mf"])
+    def test_values_fit_bit_equal_to_dense(self, mask, kind):
+        m, n, r = 14, 11, 3
+        rng = np.random.default_rng(12)
+        X = rng.uniform(1, 5, size=(m, n))
+        rows, cols = np.nonzero(rng.uniform(size=(m, n)) < 0.5)
+        weights = rng.uniform(0.1, 1.0, rows.size) if mask == "weighted" else np.ones(rows.size)
+        M = (ObservationMask.full(m, n) if mask == "full"
+             else ObservationMask(m, n, rows, cols, weights, X[rows, cols]))
+        x = X if mask == "full" else M.values
+        assert np.array_equal(infer_bounds(x, M).lower, infer_bounds(X, M).lower)
+        variant = ModelVariant.from_kind(kind, BoundsVector.constant(m, 1.0, 5.0))
+        for center in (False, True) if kind == "bssmf" else (False,):
+            for extrapolate in (True, False):
+                config = SolverConfig(rank=r, max_outer=15, max_inner_W=2, max_inner_H=2,
+                                      extrapolate=extrapolate, center=center, seed=5)
+                (fx, rx), (fX, rX) = (solve(A, M, variant, config) for A in (x, X))
+                assert np.array_equal(fx.W, fX.W) and np.array_equal(fx.H, fX.H)
+                assert rx.objective_trace == rX.objective_trace
+                assert rx.lipschitz_trace == rX.lipschitz_trace
+                assert (rx.stop_reason, rx.outer_iterations) == (rX.stop_reason,
+                                                                  rX.outer_iterations)
+                assert np.array_equal(solve_h_given_w(x, M, fX.W, variant, config),
+                                      solve_h_given_w(X, M, fX.W, variant, config))
 
 
 class TestObjectiveEvaluations:
