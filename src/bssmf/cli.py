@@ -4,12 +4,13 @@ Every run prints its resolved configuration before starting, writes CSV
 artifacts only, and uses disjoint exit codes: 0 success, 1 numerical failure,
 2 configuration error, 3 I/O error, 10 scatteredness check failed,
 11 synthetic regeneration exhausted. Commands raise and :func:`main` picks
-the code: OSError or io_formats.DataFormatError gives 3, any other
-ValueError (ConfigError, ShapeError) 2. Only the ``factorize`` solve (1 for
-a ValueError or FloatingPointError other than ConfigError) and ``synth``
-(11 for a RuntimeError) decide locally; checks that find no exception
-return their code, such as 1 for a ``factorize`` or ``center-demo`` solve
-that stops "diverged". Each failure prints one ``error:`` line to stderr.
+the code: OSError or io_formats.DataFormatError 3, FloatingPointError (a
+diverged ``complete`` training) 1, any other ValueError (ConfigError,
+ShapeError) 2. Only the ``factorize`` solve (1 for a ValueError other than
+ConfigError) and ``synth`` (11 for a RuntimeError) decide locally; checks
+that find no exception return their code, such as 1 for a ``factorize`` or
+``center-demo`` solve that stops "diverged". Each failure prints one
+``error:`` line to stderr.
 """
 
 import argparse
@@ -38,12 +39,20 @@ def _fail(code, msg):
     return code
 
 
+def _bounds_pair(spec_str):
+    """(lo, hi) from a --bounds value of the form lo:hi."""
+    try:
+        lo, hi = (float(v) for v in spec_str.split(":"))
+    except ValueError:
+        raise ValueError(f"--bounds must be lo:hi, two numbers, got {spec_str!r}") from None
+    return lo, hi
+
+
 def _parse_bounds(spec_str, X, M):
     if spec_str == "infer":
         return prep.infer_bounds(X, M)
     if ":" in spec_str:
-        lo, hi = spec_str.split(":", 1)
-        return BoundsVector.constant(M.rows, float(lo), float(hi))
+        return BoundsVector.constant(M.rows, *_bounds_pair(spec_str))
     B = iof.read_dense_csv(spec_str)
     if B.shape != (M.rows, 2):
         raise ValueError(f"bounds file must have {M.rows} rows of two columns (lower, upper)")
@@ -92,7 +101,7 @@ def cmd_factorize(args):
         factors, report, final, config = best
     except sv.ConfigError:
         raise  # a configuration error, for main
-    except (ValueError, FloatingPointError) as e:
+    except ValueError as e:
         return _fail(EXIT_NUMERICAL, e)
     if not np.isfinite(final):
         return _fail(EXIT_NUMERICAL, f"non-finite final objective {final}")
@@ -129,8 +138,7 @@ def cmd_complete(args):
 def cmd_check_ssc(args):
     A = iof.read_dense_csv(args.factor)
     if args.role == "w-stacked":
-        lo, hi = args.bounds.split(":")
-        bounds = BoundsVector.constant(A.shape[0], float(lo), float(hi))
+        bounds = BoundsVector.constant(A.shape[0], *_bounds_pair(args.bounds))
         A = ident.stack_for_theorem3(A, bounds).T
         role = "W_stacked"
     else:
@@ -280,6 +288,8 @@ def main(argv=None):
         return args.func(args)
     except (OSError, iof.DataFormatError) as e:  # before ValueError: a DataFormatError is one
         return _fail(EXIT_IO, e)
+    except FloatingPointError as e:
+        return _fail(EXIT_NUMERICAL, e)
     except ValueError as e:
         return _fail(EXIT_CONFIG, e)
 

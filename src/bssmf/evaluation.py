@@ -204,8 +204,8 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
 
     Training runs :func:`solver.solve` with config as given, so config.center
     takes the H step constant at W - c, c the mean training rating, and
-    centering a variant other than bssmf raises ConfigError. Test-time
-    adaptation is never centered.
+    centering a variant other than bssmf raises ConfigError; a training solve
+    that stops "diverged" raises FloatingPointError. Adaptation is uncentered.
     """
     cols = fold.M_known.cols
     known = fold.M_known.row_idx * cols + fold.M_known.col_idx
@@ -215,6 +215,9 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
     variant = sv.ModelVariant.from_kind(
         variant_kind, BoundsVector.constant(fold.num_items, *value_range))
     factors, report = sv.solve(fold.M_train.values, fold.M_train, variant, config)
+    if report.stop_reason == "diverged":
+        raise FloatingPointError(f"{variant_kind} training solve diverged at rank {config.rank} "
+                                 f"with seed {config.seed} after {report.outer_iterations} passes")
     W = factors.W
     H_test = solve_h_given_w(fold.M_known.values, fold.M_known, W, variant, config)
     bounds = variant.bounds if variant_kind == sv.BSSMF else None

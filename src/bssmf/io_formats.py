@@ -375,4 +375,4 @@ def write_factors(prefix, factors, report, config=None, variant=None, bounds=Non
         meta["bounds_lower"] = bounds.lower.tolist()
         meta["bounds_upper"] = bounds.upper.tolist()
     with open(f"{prefix}meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
+        f.write(json.dumps(meta) + "\n")  # one line: json.dumps uses the C encoder

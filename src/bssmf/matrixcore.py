@@ -19,13 +19,13 @@ block comes from memory once and its reductions then read it from cache.
 
 What is fixed for a solve, a block or a call is built once for it:
 
-- per mask (it is shared, so it keeps no buffer): the cells in canonical
-  order, their CSC pattern, the squared weights unless every weight is 1,
-  and the column-block plan of the product at the cells;
-- per solve: a :class:`Workspace`, which for a sparse mask holds the CSC
-  residual on the pattern, its CSR transpose over the same values and the
-  block buffer of the product. Every gradient and objective of the solve
-  overwrites them, so a solve holds one set;
+- per mask, which is shared data: the cells in canonical order, their
+  weights and, for sparse data, their observed values;
+- per solve: a :class:`Workspace`, which for a sparse mask holds the block
+  plan of the product at the cells, the CSC residual, its CSR transpose over
+  the same values, the block buffer and the squared weights unless every
+  weight is 1. The gradients and objectives of the solve overwrite the
+  residual and the buffer, so a solve holds one set;
 - per block, while one factor is frozen: :func:`step_map` builds the inner
   step F_bar -> F_bar - grad(F_bar)/L. For a full mask that is an affine map,
   F_bar (I - G/L) + X H^T/L on the W side and (I - G/L) F_bar + W^T X/L on
@@ -35,7 +35,7 @@ What is fixed for a solve, a block or a call is built once for it:
 
 One kernel, :func:`_misfit`, forms the unweighted WH - x at the observed
 cells; the objective, the gradients and :func:`masked_residual` each apply
-the weights to it.
+the weights to it, and build a workspace when they are given none.
 
 The objective is not computed in the Gram form (0.5||X||^2 - <X, WH> +
 0.5<W^T W, HH^T>): near an exact fit its terms cancel, and the stopping test
@@ -47,9 +47,9 @@ Sparse data is its observed values, kept by the mask in its cell order as
 ``M.values``. A kernel takes the data X as the m x n array or, for a sparse
 mask, as those 1-D values (``M.observed(X)``); the shape is the mask's.
 
-scipy is imported only where a sparse mask is built: its CSC pattern is the
-one scipy object here, and the kernels that return or multiply by a sparse
-matrix make theirs from it. A full-mask run loads no scipy module.
+scipy.sparse is imported when the first :class:`Workspace` of a sparse mask
+is built: its CSC residual is the one scipy object here. Building, reading,
+splitting or checking a mask, and any full-mask run, load no scipy module.
 """
 
 import numpy as np
@@ -75,11 +75,11 @@ class ObservationMask:
 
     A full mask (all weights 1) is stored as a sentinel without materializing
     entries. A sparse mask keeps its cells in canonical column-major order
-    (sorted by column, then row), whatever order they were given in, together
-    with the matching CSC pattern, the squared weights and the column-block
-    plan of the product at its cells, and ``values`` (one per cell) permuted
-    with the cells, or None. This class is the only place that tells the two
-    cases apart: callers read data through :meth:`observed` and :meth:`row_extrema`.
+    (sorted by column, then row), whatever order they were given in, with
+    their weights and ``values`` (one per cell) permuted with the cells, or
+    None; what a solve derives from the cells is in its :class:`Workspace`.
+    This class is the only place that tells the two cases apart: callers
+    read data through :meth:`observed` and :meth:`row_extrema`.
     """
 
     def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, values=None,
@@ -91,7 +91,6 @@ class ObservationMask:
         self._full = _full
         if _full:
             self.row_idx = self.col_idx = self.weights = self.values = None
-            self._pattern = self._w2 = self._plan = None
             return
         row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
         col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
@@ -118,12 +117,6 @@ class ObservationMask:
         self.col_idx = col_idx[order]
         self.weights = weights[order]
         self.values = None if values is None else np.asarray(values, np.float64)[order]
-        indptr = np.searchsorted(self.col_idx, np.arange(cols + 1))
-        import scipy.sparse as sp  # loaded by the first sparse mask only
-
-        self._pattern = sp.csc_matrix((self.weights, self.row_idx, indptr), shape=(rows, cols))
-        self._w2 = None if np.all(self.weights == 1.0) else self.weights**2  # None: all ones
-        self._plan = _BlockPlan(rows, cols, self.row_idx, self.col_idx)
 
     @classmethod
     def full(cls, rows, cols):
@@ -251,43 +244,51 @@ def _check_dims(W, H, M):
         )
 
 
-def _misfit(x, W, H, M, work=None):
+class Workspace:
+    """What the sparse-mask kernels of one solve derive from the mask's
+    cells: the block ``plan`` of the product, the CSC residual ``R``, its
+    CSR transpose ``Rt`` over the same values, the product's buffer ``buf``
+    and the squared weights ``w2`` (None when every weight is 1). Each
+    gradient or objective overwrites R and buf, so the blocks of a solve
+    share one; the mask, which callers share, keeps none. For a full mask
+    every field is None."""
+
+    def __init__(self, M):
+        self.plan = self.R = self.Rt = self.buf = self.w2 = None
+        if M.is_full:
+            return
+        import scipy.sparse as sp  # loaded by the first sparse workspace only
+
+        self.plan = _BlockPlan(M.rows, M.cols, M.row_idx, M.col_idx)
+        indptr = np.searchsorted(M.col_idx, np.arange(M.cols + 1))
+        self.R = sp.csc_matrix((np.empty(M.nnz), M.row_idx, indptr), shape=(M.rows, M.cols))
+        self.Rt = self.R.T  # CSR on the transposed pattern, sharing R.data
+        self.buf = np.empty(self.plan.buffer_size)
+        self.w2 = None if np.all(M.weights == 1.0) else M.weights**2
+
+
+def _misfit(x, W, H, M, work):
     """WH - x at observed cells, unweighted, from the observed values x, in
-    an array that the caller may overwrite: a dense ndarray for a full mask,
-    else the 1-D values in canonical order. Each case subtracts in place
-    from the product WH, so a full mask allocates one m x n array and a
-    sparse mask one nnz vector and one block buffer, or writes into work's
-    residual and buffer when given."""
+    an array the caller may overwrite: a new m x n array for a full mask,
+    else work's residual values, in canonical order."""
     if M.is_full:
         R = W @ H
-    elif work is None:
-        R = _sampled_product(W, H, M._plan)
-    else:  # the gradients multiply work.R, so the result must land there
-        R = _sampled_product(W, H, M._plan, work.R.data, work.buf)
-        return np.subtract(R, x, out=R)
-    return np.subtract(R, x, out=R if R.dtype == np.result_type(x, R) else None)
-
-
-def _on_pattern(M, vals):
-    """CSC matrix with the values vals (canonical order) on M's cells; it is
-    of the pattern's class, so scipy.sparse is already loaded."""
-    P = M._pattern
-    return type(P)((vals, P.indices, P.indptr), shape=P.shape)
+        return np.subtract(R, x, out=R if R.dtype == np.result_type(x, R) else None)
+    R = _sampled_product(W, H, work.plan, work.R.data, work.buf)
+    return np.subtract(R, x, out=R)
 
 
 def masked_residual(X, W, H, M):
-    """M o (X - WH) at observed cells.
-
-    Full mask: dense ndarray. Sparse mask: CSC matrix holding the weighted
-    residual only at observed cells, stored in the mask's canonical
-    column-major order.
-    """
+    """M o (X - WH) at observed cells: a dense ndarray for a full mask, else
+    the CSC residual R of a new :class:`Workspace`, on the cells in canonical
+    column-major order."""
     _check_dims(W, H, M)
-    R = _misfit(M.observed(X), W, H, M)
+    work = Workspace(M)
+    R = _misfit(M.observed(X), W, H, M, work)
     R = np.subtract(0.0, R, out=R)  # X - WH; a zero stays +0, as x - WH gives it
-    if M.is_full:
-        return R
-    return _on_pattern(M, R if M._w2 is None else np.multiply(M.weights, R, out=R))
+    if work.w2 is not None:  # None for a full mask
+        np.multiply(M.weights, R, out=R)
+    return R if M.is_full else work.R
 
 
 def objective(X, W, H, M, work=None):
@@ -296,29 +297,14 @@ def objective(X, W, H, M, work=None):
     A sparse mask sums its residual vector in canonical column-major order,
     so the result does not depend on the order the cells were given in.
     The residual is squared in place, so a full mask needs one m x n buffer;
-    a sparse mask computes it in work (a :class:`Workspace`) when given.
+    a sparse mask computes it in work (a new :class:`Workspace` when None).
     """
     _check_dims(W, H, M)
+    work = Workspace(M) if work is None else work
     R = _misfit(M.observed(X), W, H, M, work)  # squared, so the sign is moot
-    if not M.is_full and M._w2 is not None:
+    if work.w2 is not None:
         R = np.multiply(M.weights, R, out=R)
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
-
-
-class Workspace:
-    """The buffers of the sparse-mask gradients and objectives of one solve:
-    the CSC residual on the mask's pattern, its CSR transpose over the same
-    values and the block buffer of the product at the cells. Each gradient
-    or objective overwrites them, so consecutive blocks of a solve can share
-    one. It is not kept on the mask, which callers share. A full mask needs
-    none."""
-
-    def __init__(self, M):
-        self.R = self.Rt = self.buf = None
-        if not M.is_full:
-            self.R = _on_pattern(M, np.empty(M.nnz))
-            self.Rt = self.R.T  # CSR on the transposed pattern, sharing R.data
-            self.buf = np.empty(M._plan.buffer_size)
 
 
 def _frozen(X, F, M, side):
@@ -350,7 +336,7 @@ def _sparse_gradient(x, F, M, side, work):
     """The sparse-mask block gradient, computed in work's buffers; each call
     returns a new array."""
     R, Rt = work.R, work.Rt
-    vals, w2 = R.data, M._w2
+    vals, w2 = R.data, work.w2
 
     def residual(W, H):  # R.data = w2 * (WH - x) at the cells
         _misfit(x, W, H, M, work)

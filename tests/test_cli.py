@@ -126,9 +126,11 @@ class TestFactorize:
                      "--outer", "3", "--out-prefix", str(tmp_path / "f_")]) == EXIT_OK
 
     def test_malformed_bounds_exit(self, example_csv, capsys):
-        assert main(["factorize", "--input", example_csv, "--rank", "2",
-                     "--bounds", "0:abc"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        for spec in ("0:abc", "0:1:2", ":1"):
+            assert main(["factorize", "--input", example_csv, "--rank", "2",
+                         "--bounds", spec]) == EXIT_CONFIG
+            assert (f"error: --bounds must be lo:hi, two numbers, got {spec!r}"
+                    in capsys.readouterr().err)
 
     def test_bounds_file_row_count_exit(self, tmp_path, example_csv, capsys):
         p = tmp_path / "bounds.csv"
@@ -207,6 +209,16 @@ class TestCheckSSC:
         code = main(["check-ssc", "--factor", str(p), "--role", "w-stacked",
                      "--bounds", "0:3"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("spec", ["1", "0:x", "0:1:2", ""])
+    def test_malformed_bounds_exit(self, tmp_path, capsys, spec):
+        p = tmp_path / "W.csv"
+        write_dense_csv(p, EXAMPLE_W)
+        code = main(["check-ssc", "--factor", str(p), "--role", "w-stacked",
+                     "--bounds", spec])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --bounds must be lo:hi, two numbers, got {spec!r}\n"
 
 
 class TestMrsa:
@@ -316,6 +328,28 @@ class TestComplete:
         rows = open(out).read().strip().splitlines()
         assert len(rows) == 3  # header + 2 ranks
         assert rows[1].split(",")[5] == "0"  # std column zero for 1 seed
+
+    @pytest.mark.parametrize("variant", ["bssmf", "nmf", "mf"])
+    def test_diverged_training_solve_exit(self, tmp_path, capsys, variant):
+        # one finite rating whose square overflows: no row of inf is written
+        rng = np.random.default_rng(0)
+        lines = [[u, i, rng.integers(1, 6)] for u in range(1, 61)
+                 for i in 1 + rng.choice(20, size=15, replace=False)]
+        lines[7][2] = "1e200"
+        p = tmp_path / "u.data"
+        p.write_text("".join(f"{u}\t{i}\t{v}\t0\n" for u, i, v in lines))
+        out = tmp_path / "eval.csv"
+        with pytest.warns(UserWarning, match="outside"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "2",
+                         "--variant", variant, "--split-test-users", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error: ")]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {variant} training solve diverged at rank 2 "
+                                 f"with seed 0")
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["nmf", "mf"])
     def test_center_other_variant_exit(self, tmp_path, capsys, variant):

@@ -406,6 +406,18 @@ class TestSweep:
         reports = overfitting_sweep(ds, spec, [2], ["mf"], [0], max_outer=10)
         assert reports[0].rmse_std == 0.0
 
+    @pytest.mark.parametrize("kind", ["nmf", "mf"])
+    def test_diverged_training_solve_raises(self, kind):
+        # a finite rating whose square overflows must not become a row of inf
+        rng = np.random.default_rng(8)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, num_items=15, per_user=10)
+        ds.values[ds.items == 0] = 1e200  # item 0, which training users rate too
+        spec = SplitSpec(test_user_count=4, min_ratings_per_item=1, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError,
+                              match=f"{kind} training solve diverged at rank 2 with seed 1"):
+            overfitting_sweep(ds, spec, [2], [kind], [1], max_outer=10)
+
 
 class TestSolveHGivenW:
     def test_recovers_h_for_exact_data(self):

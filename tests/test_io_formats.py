@@ -542,6 +542,21 @@ class TestWriteFactors:
             f"iteration,objective,L_W,L_H\n0,{first:.17g},,\n5,{last:.17g},,\n")
         assert json.load(open(prefix + "meta.json"))["final_objective"] == last
 
+    def test_meta_is_one_line_of_the_run(self, tmp_path):
+        f, rep, cfg, var = self._solve_small()
+        prefix = str(tmp_path / "out_")
+        write_factors(prefix, f, rep, cfg, var, var.bounds)
+        text = open(prefix + "meta.json").read()
+        assert json.loads(text) == {
+            "outer_iterations": rep.outer_iterations, "stop_reason": rep.stop_reason,
+            "wall_time_s": rep.wall_time, "final_objective": rep.objective_trace[-1],
+            "rank": cfg.rank, "seed": cfg.seed, "extrapolate": cfg.extrapolate,
+            "center": cfg.center, "config_hash": config_hash(cfg), "variant": var.kind,
+            "bounds_lower": var.bounds.lower.tolist(),
+            "bounds_upper": var.bounds.upper.tolist(),
+        }
+        assert text.count("\n") == 1 and text.endswith("\n")
+
     def test_meta_has_config_hash(self, tmp_path):
         f, rep, cfg, var = self._solve_small()
         prefix = str(tmp_path / "out_")

@@ -507,7 +507,7 @@ class TestBlockedProduct:
     def test_empty_blocks_are_skipped(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * 4 * 2)  # two columns of a 4-row buffer
         M = ObservationMask(4, 30, [3, 0, 2], [29, 1, 1], np.ones(3))
-        assert [b[:2] for b in M._plan.blocks] == [(0, 2), (28, 30)]
+        assert [b[:2] for b in Workspace(M).plan.blocks] == [(0, 2), (28, 30)]
         W, H = np.arange(8.0).reshape(4, 2), np.arange(60.0).reshape(2, 30)
         assert np.array_equal(product_at(W, H, [3, 0, 2], [29, 1, 1]),
                               (W @ H)[[3, 0, 2], [29, 1, 1]])
@@ -683,19 +683,32 @@ class TestSparseWorkspace:
     def test_unit_weights_skip_the_multiply_bit_equal(self, problem, r):
         m, n, rows, cols, _, _, seed = problem
         M = ObservationMask(m, n, rows, cols, np.ones(rows.size))
-        assert M._w2 is None
+        assert Workspace(M).w2 is None
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(m, n))
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
         skipped = [gradient_W(X, W, H, M), gradient_H(X, W, H, M),
                    masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
+        init = Workspace.__init__
+
+        def multiplying(work, M):  # every workspace multiplies by the squared weights
+            init(work, M)
+            work.w2 = np.ones(M.nnz)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(M, "_w2", np.ones(M.nnz))  # multiply by the squared weights
+            mp.setattr(Workspace, "__init__", multiplying)
             multiplied = [gradient_W(X, W, H, M), gradient_H(X, W, H, M),
                           masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
         for a, b in zip(skipped, multiplied):
             assert np.array_equal(a, b)
 
+    def test_sparse_mask_keeps_only_its_data(self):
+        """What a solve derives from the cells is in its workspace, not the mask."""
+        M = ObservationMask(3, 4, [0, 2], [1, 3], [1.0, 0.5], [0.25, 0.75])
+        assert set(vars(M)) == {"rows", "cols", "_full", "row_idx", "col_idx", "weights",
+                                "values"}
+
     def test_full_mask_needs_no_buffers(self):
         work = Workspace(ObservationMask.full(3, 4))
         assert work.R is None and work.Rt is None and work.buf is None
+        assert work.plan is None and work.w2 is None
