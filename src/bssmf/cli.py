@@ -5,12 +5,11 @@ artifacts only, and uses disjoint exit codes: 0 success, 1 numerical failure,
 2 configuration error, 3 I/O error, 10 scatteredness check failed,
 11 synthetic regeneration exhausted. Commands raise and :func:`main` picks
 the code: OSError or io_formats.DataFormatError 3, FloatingPointError (a
-diverged ``complete`` training) 1, any other ValueError (ConfigError,
+solve that stops "diverged") 1, any other ValueError (ConfigError,
 ShapeError) 2. Only the ``factorize`` solve (1 for a ValueError other than
-ConfigError) and ``synth`` (11 for a RuntimeError) decide locally; checks
-that find no exception return their code, such as 1 for a ``factorize`` or
-``center-demo`` solve that stops "diverged". Each failure prints one
-``error:`` line to stderr.
+ConfigError) and ``synth`` (11 for a RuntimeError) decide locally, and checks
+that raise nothing return their code. Each failure prints one ``error:``
+line to stderr.
 """
 
 import argparse
@@ -91,10 +90,9 @@ def cmd_factorize(args):
             )
             factors, report = sv.solve(X, M, variant, config)
             if report.stop_reason == "diverged":
-                return _fail(EXIT_NUMERICAL,
-                             f"solve diverged with seed {seed}: a step constant or the "
-                             f"objective overflowed after {report.outer_iterations} "
-                             f"outer iterations")
+                raise FloatingPointError(f"solve diverged with seed {seed}: a step constant or "
+                                         f"the objective overflowed after "
+                                         f"{report.outer_iterations} outer iterations")
             final = report.objective_trace[-1]
             if best is None or final < best[2]:
                 best = (factors, report, final, config)
@@ -103,8 +101,6 @@ def cmd_factorize(args):
         raise  # a configuration error, for main
     except ValueError as e:
         return _fail(EXIT_NUMERICAL, e)
-    if not np.isfinite(final):
-        return _fail(EXIT_NUMERICAL, f"non-finite final objective {final}")
     iof.write_factors(args.out_prefix, factors, report, config, variant, bounds)
     print(f"final objective {final:.6g} after {report.outer_iterations} outer iterations")
     return EXIT_OK
@@ -202,8 +198,8 @@ def cmd_center_demo(args):
                 )
                 _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
                 if rep.stop_reason == "diverged":
-                    return _fail(EXIT_NUMERICAL, f"solve diverged in scenario {mode}_{label} with "
-                                                 f"seed {seed} after {rep.outer_iterations} passes")
+                    raise FloatingPointError(f"solve diverged in scenario {mode}_{label} with "
+                                             f"seed {seed} after {rep.outer_iterations} passes")
                 traces.append(rep.objective_trace)
             series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     cols = list(series)  # plain, centered, uneven; alg1 before bcd in each

@@ -1,9 +1,11 @@
 """Matrix-completion evaluation: user splits, held-out RMSE, rank sweeps.
 
 The data matrix is item-by-user. Training learns (W, H) on the non-test
-users; at test time W is frozen and only the H block is fitted on each test
-user's known ratings, then RMSE is computed on the held-out ones. Each mask
-of a :class:`Fold` holds its ratings as ``values``; no m x n matrix is built.
+users with :func:`solver.solve`; at test time W is frozen and only the H
+block is fitted on each test user's known ratings with :func:`solver.solve_h`,
+the same loop with the W block skipped, then RMSE is computed on the held-out
+ones. Either fit stopping "diverged" raises FloatingPointError. Each mask of
+a :class:`Fold` holds its ratings as ``values``; no m x n matrix is built.
 """
 
 import warnings
@@ -11,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matrixcore as mc
 from . import solver as sv
 from .matrixcore import ObservationMask
 from .projections import BoundsVector
@@ -178,23 +179,18 @@ def rmse(predictions, truths):
     return float(np.sqrt(np.mean((predictions - truths) ** 2)))
 
 
-def solve_h_given_w(X, M, W, variant, config):
-    """Fit only the H block against a frozen W (test-time adaptation). X is
-    the data or its observed values, as :func:`solver.solve` takes it.
+def _raise_if_diverged(report, fit, kind, config):
+    if report.stop_reason == "diverged":
+        raise FloatingPointError(f"{kind} {fit} solve diverged at rank {config.rank} with "
+                                 f"seed {config.seed} after {report.outer_iterations} passes")
 
-    W never changes, so the max_outer passes of max_inner_H steps are one
-    block of max_outer * max_inner_H steps with one gradient build. Like
-    :func:`solver.solve`, it raises ValueError on a non-finite observed entry.
-    """
-    r = W.shape[1]
-    rng = np.random.default_rng(config.seed)
-    H = variant.project_H(rng.uniform(size=(r, M.cols)))
-    x = M.observed(np.asarray(X, dtype=np.float64))
-    floor = sv._check_observed(x, M)
-    G = W.T @ W
-    state = sv._BlockState(max(mc.spectral_norm(G), floor))
-    H, _ = sv.update_H_block(x, W, H, M, variant, state, H,
-                             config.max_outer * config.max_inner_H, config.extrapolate, G)
+
+def solve_h_given_w(X, M, W, variant, config):
+    """Fit only H against a frozen W (test-time adaptation) by :func:`solver.solve_h`,
+    which takes X and raises as :func:`solver.solve` does; FloatingPointError
+    when the fit stops "diverged"."""
+    H, report = sv.solve_h(X, M, W, variant, config)
+    _raise_if_diverged(report, "adaptation", variant.kind, config)
     return H
 
 
@@ -204,20 +200,16 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
 
     Training runs :func:`solver.solve` with config as given, so config.center
     takes the H step constant at W - c, c the mean training rating, and
-    centering a variant other than bssmf raises ConfigError; a training solve
-    that stops "diverged" raises FloatingPointError. Adaptation is uncentered.
+    centering a variant other than bssmf raises ConfigError. Adaptation is
+    uncentered. Either fit stopping "diverged" raises FloatingPointError.
     """
-    cols = fold.M_known.cols
-    known = fold.M_known.row_idx * cols + fold.M_known.col_idx
-    held = fold.M_heldout.row_idx * cols + fold.M_heldout.col_idx
+    known, held = (M.row_idx * M.cols + M.col_idx for M in (fold.M_known, fold.M_heldout))
     if np.intersect1d(known, held).size:
         raise ValueError("held-out cells leaked into the adaptation mask")
     variant = sv.ModelVariant.from_kind(
         variant_kind, BoundsVector.constant(fold.num_items, *value_range))
     factors, report = sv.solve(fold.M_train.values, fold.M_train, variant, config)
-    if report.stop_reason == "diverged":
-        raise FloatingPointError(f"{variant_kind} training solve diverged at rank {config.rank} "
-                                 f"with seed {config.seed} after {report.outer_iterations} passes")
+    _raise_if_diverged(report, "training", variant_kind, config)
     W = factors.W
     H_test = solve_h_given_w(fold.M_known.values, fold.M_known, W, variant, config)
     bounds = variant.bounds if variant_kind == sv.BSSMF else None

@@ -360,15 +360,8 @@ def write_factors(prefix, factors, report, config=None, variant=None, bounds=Non
         "final_objective": report.objective_trace[-1],
     }
     if config is not None:
-        meta.update(
-            {
-                "rank": config.rank,
-                "seed": config.seed,
-                "extrapolate": config.extrapolate,
-                "center": config.center,
-                "config_hash": config_hash(config),
-            }
-        )
+        meta.update(rank=config.rank, seed=config.seed, extrapolate=config.extrapolate,
+                    center=config.center, config_hash=config_hash(config))
     if variant is not None:
         meta["variant"] = variant.kind
     if bounds is not None and bounds.is_finite:

@@ -12,10 +12,10 @@ gather of each factor. The residual, both gradients and :func:`product_at`
 all use this one kernel.
 
 The checks on the data read it once. On a full mask, :meth:`ObservationMask.sweep`
-takes the row minima and maxima and the sum of squares of X over blocks of
-rows of about _SWEEP_BYTES (512 KB, which fits in a core's L2 cache): each
-block comes from memory once and its reductions then read it from cache.
-:meth:`ObservationMask.row_extrema` is the same sweep without the squares.
+takes the row minima and maxima, the sum and the sum of squares of X over
+blocks of rows of about _SWEEP_BYTES (512 KB, which fits in a core's L2
+cache): each block comes from memory once and its reductions then read it
+from cache. :meth:`ObservationMask.row_extrema` is the same sweep without the sums.
 
 What is fixed for a solve, a block or a call is built once for it:
 
@@ -143,45 +143,46 @@ class ObservationMask:
     def row_extrema(self, A):
         """Per-row (min, max) of A over observed cells; (inf, -inf) for a row
         with none."""
-        return self.sweep(A, squares=False)[1:]
+        return self.sweep(A, sums=False)[2:]
 
-    def sweep(self, A, squares=True, extrema=True):
-        """(sum of squares, row minima, row maxima) of A over observed cells,
-        with None for a part not asked for; see :meth:`row_extrema`.
+    def sweep(self, A, sums=True, extrema=True):
+        """(sum, sum of squares, row minima, row maxima) of A over observed
+        cells, with None for a part not asked for; see :meth:`row_extrema`.
 
         A full mask reads A once, in blocks of rows of about _SWEEP_BYTES, and
         reduces each block while it is in cache. The extrema are those of
-        A.min(axis=1) and A.max(axis=1) bit for bit; the sum of squares adds
-        the blocks' sums, each an einsum, which wakes no BLAS thread. A NaN
-        or inf entry makes the sum non-finite.
+        A.min(axis=1) and A.max(axis=1) bit for bit; the sums add the blocks'
+        sums (the squares' by einsum, which wakes no BLAS thread). A sparse
+        mask's sum is np.mean's of its observed values, bit for bit. A NaN or
+        inf entry makes the sum of squares non-finite.
         """
         vals = self.observed(A)
-        sum_sq = lo = hi = None
-        if self._full:
-            m, n = vals.shape
-            height = max(1, _SWEEP_BYTES // (vals.itemsize * n))
-            if extrema:
-                lo, hi = np.empty(m, vals.dtype), np.empty(m, vals.dtype)
-            if squares:
-                sum_sq = 0.0
-            for i0 in range(0, m, height):
-                rows = slice(i0, i0 + height)
-                block = vals[rows]
+        total = sum_sq = lo = hi = None
+        with np.errstate(invalid="ignore"):  # an inf - inf or NaN entry gives NaN, quietly
+            if self._full:
+                m, n = vals.shape
+                height = max(1, _SWEEP_BYTES // (vals.itemsize * n))
                 if extrema:
-                    np.minimum.reduce(block, axis=1, out=lo[rows])
-                    np.maximum.reduce(block, axis=1, out=hi[rows])
-                if squares:
-                    sum_sq += float(np.einsum("ij,ij->", block, block))
-            return sum_sq, lo, hi
-        if squares:
-            sum_sq = float(np.einsum("i,i->", vals, vals))
-        if extrema:
-            lo = np.full(self.rows, np.inf)
-            hi = np.full(self.rows, -np.inf)
-            with np.errstate(invalid="ignore"):  # a NaN entry gives its row NaN, quietly
+                    lo, hi = np.empty(m, vals.dtype), np.empty(m, vals.dtype)
+                if sums:
+                    total = sum_sq = 0.0
+                for i0 in range(0, m, height):
+                    rows = slice(i0, i0 + height)
+                    block = vals[rows]
+                    if extrema:
+                        np.minimum.reduce(block, axis=1, out=lo[rows])
+                        np.maximum.reduce(block, axis=1, out=hi[rows])
+                    if sums:
+                        total += float(np.sum(block))
+                        sum_sq += float(np.einsum("ij,ij->", block, block))
+                return total, sum_sq, lo, hi
+            if sums:
+                total, sum_sq = float(np.sum(vals)), float(np.einsum("i,i->", vals, vals))
+            if extrema:
+                lo, hi = np.full(self.rows, np.inf), np.full(self.rows, -np.inf)
                 np.minimum.at(lo, self.row_idx, vals)
                 np.maximum.at(hi, self.row_idx, vals)
-        return sum_sq, lo, hi
+            return total, sum_sq, lo, hi
 
 
 class _BlockPlan:

@@ -5,7 +5,8 @@ step sizes (1/||HH^T||_2 and 1/||W^T W||_2), Nesterov-style momentum counters
 shared across outer iterations, and a safeguard cap on the extrapolation
 weight. Setting extrapolate=False recovers plain block coordinate descent
 (PALM), which is monotone. Centering (SolverConfig.center) only changes the
-H step constant; see solve.
+H step constant; see solve. solve_h runs the same loop with W frozen, for
+test-time adaptation.
 """
 
 import math
@@ -88,7 +89,8 @@ class SolverConfig:
     record_trace: bool = True
 
     def validate(self, m, n):
-        if not (1 <= self.rank <= min(m, n)):
+        """Check the caps, rel_tol and, unless m is None (a frozen W), the rank."""
+        if m is not None and not (1 <= self.rank <= min(m, n)):
             raise ConfigError(f"rank must be in [1, {min(m, n)}], got {self.rank}")
         if self.max_outer < 1 or self.max_inner_W < 1 or self.max_inner_H < 1:
             raise ConfigError("iteration caps must be >= 1")
@@ -111,19 +113,19 @@ class SolveReport:
     stop_reason: str = "max_iters"  # or "tol_reached", "diverged"
 
 
-def initialize(M, variant, config):
+def initialize(M, variant, config, W=None):
     """Random feasible starting point: W(i,:) ~ U[a_i, b_i] (U[0,1] on
-    unbounded rows), H ~ U[0,1] column-projected onto the variant's set."""
-    m, n = M.rows, M.cols
-    config.validate(m, n)
-    r = config.rank
+    unbounded rows), H ~ U[0,1] column-projected onto the variant's set.
+    Given W, only H is drawn, at rank W.shape[1], as the generator's first draw."""
+    config.validate(M.rows if W is None else None, M.cols)
     rng = np.random.default_rng(config.seed)
-    lo, hi = variant.bounds.lower, variant.bounds.upper
-    lo_f = np.where(np.isfinite(lo), lo, 0.0)
-    hi_f = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo, 0.0) + 1.0)
-    W = lo_f[:, None] + (hi_f - lo_f)[:, None] * rng.uniform(size=(m, r))
-    # degenerate rows (a_i == b_i) come out constant by construction
-    H = variant.project_H(rng.uniform(size=(r, n)))
+    if W is None:
+        lo, hi = variant.bounds.lower, variant.bounds.upper
+        lo_f = np.where(np.isfinite(lo), lo, 0.0)
+        hi_f = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo, 0.0) + 1.0)
+        W = lo_f[:, None] + (hi_f - lo_f)[:, None] * rng.uniform(size=(M.rows, config.rank))
+        # degenerate rows (a_i == b_i) come out constant by construction
+    H = variant.project_H(rng.uniform(size=(W.shape[1], M.cols)))
     return FactorPair(W, H)
 
 
@@ -132,27 +134,28 @@ def _slack(bound):
     return 1e-9 * np.maximum(1.0, np.abs(bound))
 
 
-def _check_observed(X, M, bounds=None, c=0.0):
+def _check_observed(X, M, bounds=None, center=False):
     """Raise on a non-finite observed entry of X; warn if one lies outside
     bounds by more than the rounding slack of :func:`_slack`.
 
-    Returns the floor of the step constants L_W and L_H: 1e-12 times the mean
-    square of X - c over all m x n cells, and at least 1e-12, where c is 0 or
-    the observed mean (then sum((x - c)^2) = sum(x^2) - nnz c^2). The sum of
-    squares and, when bounds are given, the row extrema come from one
-    :meth:`~bssmf.matrixcore.ObservationMask.sweep` of X, which reads a full
-    mask's data once. A NaN or inf entry makes that sum non-finite, so the
-    elementwise scan runs only when it is; it tells such an entry from finite
-    entries whose squares overflow.
+    Returns (floor, c), c the observed mean if center is set, else 0, and
+    floor that of L_W and L_H: 1e-12 times the mean square of X - c over all
+    m x n cells, at least 1e-12 (sum((x - c)^2) = sum(x^2) - nnz c^2). The
+    sums and, with bounds, the row extrema come from one
+    :meth:`~bssmf.matrixcore.ObservationMask.sweep`, which reads X once. A
+    NaN or inf entry makes the sum of squares non-finite, so the elementwise
+    scan runs only when it is; it tells such an entry from finite entries
+    whose squares overflow.
     """
-    sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None)
+    total, sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None)
     if not math.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
         raise ValueError("X has a non-finite (NaN or inf) observed entry")
     if bounds is not None:
         a, b = bounds.lower, bounds.upper
         if np.any(lo < a - _slack(a)) or np.any(hi > b + _slack(b)):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
-    return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols))
+    c = total / M.nnz if center else 0.0
+    return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols)), c
 
 
 class _BlockState:
@@ -231,77 +234,88 @@ def solve(X, M, variant, config):
     overflow), the solve stops with stop_reason "diverged" and returns the
     iterate before that pass; outer_iterations counts the finite passes.
     """
-    config.validate(M.rows, M.cols)
+    return _solve(X, M, variant, config)
+
+
+def solve_h(X, M, W, variant, config):
+    """Fit H against the frozen factor W; returns (H, SolveReport).
+
+    This is :func:`solve`'s loop without the W block: the same checks, start
+    (H as :func:`initialize` draws it given W, at rank W.shape[1]), report and
+    "diverged" stop, uncentered. W never changes, so the max_outer passes of
+    max_inner_H steps are one block of max_outer * max_inner_H steps with one
+    step build, reported as one pass with lipschitz_trace entries (L_H,).
+    """
+    factors, report = _solve(X, M, variant, replace(config, center=False), W)
+    return factors.H, report
+
+
+def _solve(X, M, variant, config, W=None):
+    """The loop of :func:`solve`; given W, that of :func:`solve_h`."""
+    factors = initialize(M, variant, config, W)
+    frozen = W is not None
     x = M.observed(np.asarray(X, dtype=np.float64))  # every kernel below takes it for X
-    c = 0.0
-    if config.center:
-        if variant.kind != BSSMF:
-            raise ConfigError("centering requires the bounded simplex variant")
-        if M.nnz == 0:
-            raise ValueError("cannot center with an empty mask")
-        c = float(np.mean(x))  # the check below rejects a NaN or inf entry
-    floor = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None, c)
+    if config.center and variant.kind != BSSMF:
+        raise ConfigError("centering requires the bounded simplex variant")
+    if config.center and M.nnz == 0:
+        raise ValueError("cannot center with an empty mask")
+    floor, c = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None,
+                               config.center)
 
     def gram_H(W):  # the Gram matrix L_H is taken of
         Wc = W - c if c else W
         return Wc.T @ Wc
 
-    factors = initialize(M, variant, config)
-    report = SolveReport()
     if M.nnz == 0:
-        report.objective_trace = [0.0]
-        report.stop_reason = "tol_reached"
-        return factors, report
+        return factors, SolveReport([0.0], stop_reason="tol_reached")
 
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
     work = mc.Workspace(M)  # the sparse-mask buffers, shared by every block and objective
-    G_W = H @ H.T
-    sw = _BlockState(max(mc.spectral_norm(G_W), floor))
-    sh = _BlockState(max(mc.spectral_norm(gram_H(W)), floor))
+    G_H = gram_H(W)
+    sh = _BlockState(max(mc.spectral_norm(G_H), floor))
+    if frozen:  # the passes are one H block, as solve_h says
+        states, passes, inner_H = (sh,), 1, config.max_outer * config.max_inner_H
+    else:
+        G_W = H @ H.T
+        sw = _BlockState(max(mc.spectral_norm(G_W), floor))
+        states, passes, inner_H = (sw, sh), config.max_outer, config.max_inner_H
 
     every_pass = config.record_trace or config.rel_tol > 0
     trace = [mc.objective(x, W, H, M, work)]
-    ltrace = []
-    stop = "max_iters"
-    outer = 0
-    for outer in range(1, config.max_outer + 1):
+    ltrace, stop, outer = [], "max_iters", 0
+    for outer in range(1, passes + 1):
         W_prev, H_prev = W, H
-        W, W_old = update_W_block(x, W, H, M, variant, sw, W_old,
-                                  config.max_inner_W, config.extrapolate, G_W, work)
-        G_H = gram_H(W)
-        sh.L = max(mc.spectral_norm(G_H), floor)
+        if not frozen:
+            W, W_old = update_W_block(x, W, H, M, variant, sw, W_old,
+                                      config.max_inner_W, config.extrapolate, G_W, work)
+            G_H = gram_H(W)
+            sh.L = max(mc.spectral_norm(G_H), floor)
         # the H step needs W^TW itself, which G_H is only when c == 0
-        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, config.max_inner_H,
+        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, inner_H,
                                   config.extrapolate, None if c else G_H, work)
-        G_W = H @ H.T
-        sw.L = max(mc.spectral_norm(G_W), floor)
+        if not frozen:
+            G_W = H @ H.T
+            sw.L = max(mc.spectral_norm(G_W), floor)
         f = mc.objective(x, W, H, M, work) if every_pass else 0.0
-        if not (math.isfinite(sw.L) and math.isfinite(sh.L) and math.isfinite(f)):
+        Ls = tuple(state.L for state in states)
+        if not (all(map(math.isfinite, Ls)) and math.isfinite(f)):
             # overflow: the next steps would be NaN, so keep the last finite pass
-            W, H = W_prev, H_prev
-            outer -= 1
-            stop = "diverged"
+            W, H, outer, stop = W_prev, H_prev, outer - 1, "diverged"
             break
-        ltrace.append((sw.L, sh.L))
-        if not every_pass:
-            continue
-        trace.append(f)
-        if config.rel_tol > 0 and len(trace) > 10:
-            f_then, f_now = trace[-11], trace[-1]
-            if f_then - f_now < config.rel_tol * max(f_then, 1e-300):
+        ltrace.append(Ls)
+        if every_pass:
+            trace.append(f)
+        if config.rel_tol > 0 and len(trace) > 10:  # rel_tol > 0 computes every pass
+            if trace[-11] - trace[-1] < config.rel_tol * max(trace[-11], 1e-300):
                 stop = "tol_reached"
                 break
     if not every_pass:
         trace.append(mc.objective(x, W, H, M, work))
-
-    report.objective_trace = trace if config.record_trace else [trace[0], trace[-1]]
-    report.outer_iterations = outer
-    report.lipschitz_trace = ltrace if config.record_trace else []
-    report.wall_time = time.perf_counter() - t0
-    report.stop_reason = stop
-    return FactorPair(W, H), report
+    if not config.record_trace:
+        trace, ltrace = [trace[0], trace[-1]], []
+    return FactorPair(W, H), SolveReport(trace, outer, ltrace, time.perf_counter() - t0, stop)
 
 
 def solve_centered(X, M, variant, config):

@@ -351,6 +351,37 @@ class TestComplete:
                                  f"with seed 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["bssmf", "nmf", "mf"])
+    def test_diverged_adaptation_exit(self, tmp_path, capsys, variant):
+        # one finite known rating of a test user whose square overflows
+        from bssmf.evaluation import SplitSpec, split
+        from bssmf.io_formats import read_movielens
+
+        rng = np.random.default_rng(0)
+        cells = [(u, i) for u in range(1, 61) for i in 1 + rng.choice(20, size=15, replace=False)]
+        ratings = 1.0 + np.arange(len(cells)) * 1e-4  # distinct, so a rating names its line
+        p = tmp_path / "u.data"
+
+        def write(values):
+            p.write_text("".join(f"{u}\t{i}\t{v!r}\t0\n" for (u, i), v in zip(cells, values)))
+
+        write(ratings.tolist())
+        fold = split(read_movielens(str(p), "tsv"), SplitSpec(test_user_count=5, seed=0))
+        values = ratings.tolist()
+        values[int(np.flatnonzero(ratings == fold.M_known.values[0])[0])] = 1e200
+        write(values)
+        out = tmp_path / "eval.csv"
+        with pytest.warns(UserWarning, match="outside"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "2",
+                         "--variant", variant, "--split-test-users", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error: ")]
+        assert err == [f"error: {variant} adaptation solve diverged at rank 2 with seed 0 "
+                       f"after 0 passes"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["nmf", "mf"])
     def test_center_other_variant_exit(self, tmp_path, capsys, variant):
         p = tmp_path / "u.data"

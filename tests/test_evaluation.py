@@ -418,6 +418,21 @@ class TestSweep:
                               match=f"{kind} training solve diverged at rank 2 with seed 1"):
             overfitting_sweep(ds, spec, [2], [kind], [1], max_outer=10)
 
+    @pytest.mark.parametrize("kind", ["bssmf", "nmf", "mf"])
+    def test_diverged_adaptation_raises(self, kind):
+        # a known test rating whose square overflows leaves every test user's H
+        # at its random start, so the held-out RMSE would be finite and meaningless
+        rng = np.random.default_rng(8)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, num_items=15, per_user=10)
+        fold = split(ds, SplitSpec(test_user_count=4, min_ratings_per_item=1, seed=5))
+        fold.M_known.values[0] = 1e200
+        config = SolverConfig(rank=2, max_outer=10, max_inner_W=1, max_inner_H=1, seed=1)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", UserWarning)  # bssmf: a rating outside [1, 5]
+            with pytest.raises(FloatingPointError,
+                               match=f"{kind} adaptation solve diverged at rank 2 with seed 1"):
+                evaluate_fold(fold, kind, config)
+
 
 class TestSolveHGivenW:
     def test_recovers_h_for_exact_data(self):
@@ -439,23 +454,23 @@ class TestSolveHGivenW:
         # iterates of max_outer passes that carry the momentum state over
         from bssmf import matrixcore as mc
         from bssmf import solver as sv
-        from bssmf.projections import BoundsVector
         rng = np.random.default_rng(10)
         ds, _, _ = synthetic_ratings(rng, num_users=30, num_items=20, noise=0.1)
         fold = split(ds, SplitSpec(test_user_count=8, known_fraction=0.6,
                                    min_ratings_per_item=1, seed=3))
-        M = fold.M_known
-        x = M.values
-        W = rng.uniform(1, 5, size=(M.rows, 3))
-        var = sv.ModelVariant.bssmf(BoundsVector.constant(M.rows, 1, 5))
+        sparse = fold.M_known
+        assert sparse.nnz < sparse.rows * sparse.cols
+        W = rng.uniform(1, 5, size=(sparse.rows, 3))
+        full = rng.uniform(1, 5, size=(sparse.rows, sparse.cols))
         cfg = SolverConfig(rank=3, max_outer=7, max_inner_H=2, seed=4)
-
-        H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, M.cols)))
-        H_old = H
-        state = sv._BlockState(max(mc.spectral_norm(W.T @ W), sv._check_observed(x, M)))
-        for _ in range(cfg.max_outer):
-            H, H_old = sv.update_H_block(x, W, H, M, var, state, H_old,
-                                         cfg.max_inner_H, cfg.extrapolate)
-
-        assert not M.is_full and M.nnz < M.rows * M.cols
-        assert np.array_equal(solve_h_given_w(x, M, W, var, cfg), H)
+        for x, M in ((sparse.values, sparse), (full, ObservationMask.full(*full.shape))):
+            for kind in ("bssmf", "nmf", "mf"):
+                var = ModelVariant.from_kind(kind, BoundsVector.constant(M.rows, 1, 5))
+                H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, M.cols)))
+                H_old = H
+                floor, _ = sv._check_observed(x, M)
+                state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
+                for _ in range(cfg.max_outer):
+                    H, H_old = sv.update_H_block(x, W, H, M, var, state, H_old,
+                                                 cfg.max_inner_H, cfg.extrapolate)
+                assert np.array_equal(solve_h_given_w(x, M, W, var, cfg), H), (kind, M.is_full)

@@ -556,7 +556,7 @@ class TestSweep:
         M = ObservationMask.full(*A.shape)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "_SWEEP_BYTES", sweep_bytes)
-            for lo, hi in (M.row_extrema(A), M.sweep(A)[1:]):
+            for lo, hi in (M.row_extrema(A), M.sweep(A)[2:]):
                 assert np.array_equal(_bits(lo), _bits(A.min(1)))
                 assert np.array_equal(_bits(hi), _bits(A.max(1)))
 
@@ -575,9 +575,10 @@ class TestSweep:
         M = ObservationMask.full(m, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "_SWEEP_BYTES", 8 * n * height)
-            sum_sq, lo, hi = M.sweep(A, extrema=False)
+            total, sum_sq, lo, hi = M.sweep(A, extrema=False)
         assert lo is None and hi is None
         assert sum_sq == pytest.approx(float(np.sum(A * A)), rel=1e-13)
+        assert total == pytest.approx(float(np.sum(A)), rel=1e-12, abs=1e-12 * np.abs(A).sum())
 
     @settings(max_examples=60, deadline=None)
     @given(masked_problems())
@@ -587,10 +588,11 @@ class TestSweep:
         X, _, _ = _factors(seed, m, n)
         x = M.observed(X)
         for A in (X, x):
-            sum_sq, lo, hi = M.sweep(A)
+            total, sum_sq, lo, hi = M.sweep(A)
+            assert total / x.size == np.mean(x)  # bit for bit, as a centered solve needs
             assert sum_sq == float(np.einsum("i,i->", x, x))
             assert all(np.array_equal(a, b) for a, b in zip((lo, hi), M.row_extrema(A)))
-        assert M.sweep(X, squares=False, extrema=False) == (None, None, None)
+        assert M.sweep(X, sums=False, extrema=False) == (None, None, None, None)
 
 
 def _variant_factors(kind, rng, m, n, r):

@@ -114,3 +114,30 @@ def test_function_has_a_caller(module, name):
         f"bssmf.{module}.{name} has no caller in src/ or bench/ and is pinned by neither "
         "the acceptance suite nor BENCHMARK.json: delete it or move it into tests/")
 
+
+def _private_reads(path):
+    """The other modules' _-prefixed names a file reads, as "module._name":
+    attributes of an imported bssmf module and names imported from one."""
+    tree = _tree(path)
+    _, modules = _bindings(tree)
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reads.add(f"{modules[node.value.id] or 'bssmf'}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level:
+                package, module = "bssmf", node.module
+            if package == "bssmf":
+                reads |= {f"{module or 'bssmf'}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")}
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(path) == [], (
+        f"bssmf.{path.stem} reads private names of other modules: make them public "
+        "or move the code that needs them")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bssmf import (
     BoundsVector,
+    FactorPair,
     ModelVariant,
     ObservationMask,
     SolverConfig,
@@ -22,7 +23,7 @@ from bssmf.identifiability import SyntheticSpec, generate_synthetic
 from bssmf.matrixcore import objective
 from bssmf.preprocessing import infer_bounds
 from bssmf.projections import project_simplex_columns
-from bssmf.solver import ConfigError, _check_observed, initialize
+from bssmf.solver import ConfigError, _check_observed, initialize, solve_h
 
 from conftest import random_mask
 
@@ -269,8 +270,8 @@ class TestSolve:
         monkeypatch.setattr(mc, "_SWEEP_BYTES", 8 * 5 * 2)
         X = np.full((12, 5), 1e200)
         with np.errstate(over="ignore"):
-            floor = _check_observed(X, ObservationMask.full(12, 5),
-                                    BoundsVector.constant(12, 0, 2e200))
+            floor, _ = _check_observed(X, ObservationMask.full(12, 5),
+                                       BoundsVector.constant(12, 0, 2e200))
         assert floor == np.inf
 
     def test_rounding_above_a_bound_does_not_warn(self):
@@ -398,6 +399,47 @@ class TestCenteredSolve:
                 solve(X, M, other, replace(config, center=True))
 
 
+@st.composite
+def frozen_w_problems(draw):
+    """A full or weighted sparse mask, a variant, a frozen W of a rank up to
+    three above the mask's column count, the schedule and a seed for X."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        M = ObservationMask.full(m, n)
+    else:
+        flat = np.array(draw(st.lists(st.integers(0, m * n - 1), min_size=1,
+                                      max_size=m * n, unique=True)))
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=flat.size, max_size=flat.size))
+        M = ObservationMask(m, n, flat // n, flat % n, w)
+    kind = draw(st.sampled_from(["bssmf", "nmf", "mf"]))
+    r = draw(st.integers(1, n + 3))
+    config = SolverConfig(rank=r, max_outer=draw(st.integers(1, 20)),
+                          max_inner_H=draw(st.integers(1, 3)),
+                          extrapolate=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    return M, kind, config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSolveH:
+    """solve_h is the solve loop with W frozen."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frozen_w_problems())
+    def test_feasible_and_bcd_monotone(self, problem):
+        M, kind, config, seed = problem
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(1, 5, size=(M.rows, M.cols))
+        W = rng.uniform(1, 5, size=(M.rows, config.rank))
+        var = ModelVariant.from_kind(kind, BoundsVector.constant(M.rows, 1, 5))
+        H, rep = solve_h(X, M, W, var, config)  # a rank above M.cols is no error
+        assert H.shape == (config.rank, M.cols) and np.all(np.isfinite(H))
+        assert feasible(FactorPair(W, H), var)
+        assert rep.stop_reason == "max_iters" and rep.outer_iterations == 1
+        f0, f1 = rep.objective_trace
+        assert f1 == pytest.approx(objective(X, W, H, M), rel=1e-12, abs=1e-300)
+        if not config.extrapolate:
+            assert f1 <= f0 + 1e-12 * f0
+
+
 def _close(a, b, scale):
     return np.allclose(a, b, rtol=1e-10, atol=1e-10 * scale)
 
@@ -451,7 +493,9 @@ class TestCenteringIsAStepRule:
         c = float(np.mean(x))
         shifted = 1e-12 * np.sum((x - c) ** 2) / X.size
         assert shifted > 1e-12
-        assert _check_observed(x, M, c=c) == pytest.approx(shifted, rel=1e-12)
+        floor, c_seen = _check_observed(x, M, center=True)
+        assert c_seen == c  # a sparse mask's sum is np.mean's, bit for bit
+        assert floor == pytest.approx(shifted, rel=1e-12)
 
     def test_full_mask_peak_below_one_and_a_half_dense_arrays(self):
         """The centered solve fits the caller's data: no shifted copy of X
