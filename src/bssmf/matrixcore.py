@@ -37,11 +37,16 @@ One kernel, :func:`_misfit`, forms the unweighted WH - x at the observed
 cells; the objective, the gradients and :func:`masked_residual` each apply
 the weights to it, and build a workspace when they are given none.
 
-The objective is not computed in the Gram form (0.5||X||^2 - <X, WH> +
-0.5<W^T W, HH^T>): near an exact fit its terms cancel, and the stopping test
-and exact-recovery checks need the small residual. For a full mask it forms WH
-once and subtracts and squares in that buffer, so each evaluation allocates
-one m x n array and never writes X, W or H.
+:func:`objective` forms the residual: for a full mask it forms WH once and
+subtracts and squares in that buffer, so each evaluation allocates one m x n
+array and never writes X, W or H. A solve on a full mask has the pieces of the
+Gram form 0.5||X||^2 - <W, XH^T> + 0.5<W^TW, HH^T> at hand (the sum of
+squares from its check of X, both Gram matrices, and XH^T, which its next W
+step needs), so :func:`gram_objective` takes the objective from them with no
+m x n array. Near an exact fit the three terms cancel, and the stopping test
+and exact-recovery checks need the small residual: the Gram value is used
+only when it is at least 1e-3 of the sum of the terms' magnitudes, and once
+it is not, the solve keeps to the residual form.
 
 Sparse data is its observed values, kept by the mask in its cell order as
 ``M.values``. A kernel takes the data X as the m x n array or, for a sparse
@@ -51,6 +56,8 @@ scipy.sparse is imported when the first :class:`Workspace` of a sparse mask
 is built: its CSC residual is the one scipy object here. Building, reading,
 splitting or checking a mask, and any full-mask run, load no scipy module.
 """
+
+import math
 
 import numpy as np
 
@@ -308,6 +315,28 @@ def objective(X, W, H, M, work=None):
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
 
 
+def gram_objective(sum_sq, W, cross, HHt, WtW=None):
+    """The full-mask objective in the Gram form, 0.5 sum_sq - <W, cross> +
+    0.5 <W^TW, HH^T>, from sum_sq = ||X||^2, cross = XH^T and HHt = HH^T;
+    W^TW is formed when WtW is not given. No m x n array is formed.
+
+    Returns None where the form is not trusted: a non-finite sum_sq (tested
+    before any product), or a value that is not finite or is below 1e-3 T,
+    T = 0.5 sum_sq + |<W, cross>| + 0.5 <W^TW, HH^T>. The value is within a
+    few u T of the residual form (u = 2^-53), so an accepted one is within
+    about 1e-12 of it, relative; near an exact fit the terms cancel, and the
+    caller takes :func:`objective` instead.
+    """
+    if not math.isfinite(sum_sq):
+        return None
+    if WtW is None:
+        WtW = W.T @ W
+    data, fit = 0.5 * sum_sq, float(np.vdot(W, cross))
+    model = 0.5 * float(np.vdot(WtW, HHt))
+    f = data - fit + model
+    return f if math.isfinite(f) and f >= 1e-3 * (data + abs(fit) + model) else None
+
+
 def _frozen(X, F, M, side):
     """The observed values of X and the shape of the free factor, after
     checking side and the frozen factor F against the mask."""
@@ -358,7 +387,7 @@ def _sparse_gradient(x, F, M, side, work):
     return grad
 
 
-def step_map(X, F, M, side, L, gram=None, work=None):
+def step_map(X, F, M, side, L, gram=None, work=None, cross=None):
     """The inner step of one block before its projection, F_bar ->
     F_bar - grad(F_bar)/L, with the other factor F frozen and the step
     constant L fixed for the block. side="W": F is H and the map acts on W;
@@ -367,8 +396,10 @@ def step_map(X, F, M, side, L, gram=None, work=None):
     A full mask builds the affine map F_bar (I - G/L) + XH^T/L (side "W") or
     (I - G/L) F_bar + W^TX/L (side "H"), where G is the Gram matrix HH^T or
     W^TW; pass it as gram when the caller has formed it, as the solver does
-    for L. This is F_bar - grad(F_bar)/L reassociated: a step is one small
-    product and one sum. A sparse mask computes the gradient at the cells
+    for L, and pass XH^T or W^TX as cross when the caller has formed it, as
+    the solver does for the objective (it is divided by L into a new array).
+    This is F_bar - grad(F_bar)/L reassociated: a step is one small product
+    and one sum. A sparse mask computes the gradient at the cells
     in work (a new :class:`Workspace` when None), divides it by L in place
     and subtracts it from F_bar into the same array. Every call returns a
     new array and writes none of its arguments.
@@ -378,11 +409,10 @@ def step_map(X, F, M, side, L, gram=None, work=None):
         if gram is None:
             gram = F @ F.T if side == "W" else F.T @ F
         A = np.eye(len(gram)) - gram / L
-        if side == "W":
-            B, times_A = x @ F.T, lambda W: W @ A
-        else:
-            B, times_A = F.T @ x, lambda H: A @ H
-        B /= L
+        if cross is None:
+            cross = x @ F.T if side == "W" else F.T @ x
+        B = cross / L
+        times_A = (lambda W: W @ A) if side == "W" else (lambda H: A @ H)
 
         def step(F_bar):
             S = times_A(F_bar)

@@ -69,10 +69,16 @@ def project_simplex_columns(V):
     r, n = V.shape
     if r == 1:
         return np.ones((1, n))
-    G = np.cumsum(np.sort(V, axis=0)[::-1], axis=0)
-    G -= 1.0
-    G /= np.arange(1, r + 1)[:, None]
-    P = V - G.max(axis=0)
+    # sorted ascending, then each row plus the one below: S[k] = c_(r-k), by
+    # np.cumsum's additions in its order, without its cost per element
+    S = np.sort(V, axis=0)
+    below = S[-1]
+    for row in S[-2::-1]:
+        row += below
+        below = row
+    S -= 1.0
+    S /= np.arange(r, 0, -1)[:, None]
+    P = V - S.max(axis=0)
     return np.maximum(P, 0.0, out=P)
 
 

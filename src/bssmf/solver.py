@@ -138,9 +138,10 @@ def _check_observed(X, M, bounds=None, center=False):
     """Raise on a non-finite observed entry of X; warn if one lies outside
     bounds by more than the rounding slack of :func:`_slack`.
 
-    Returns (floor, c), c the observed mean if center is set, else 0, and
-    floor that of L_W and L_H: 1e-12 times the mean square of X - c over all
-    m x n cells, at least 1e-12 (sum((x - c)^2) = sum(x^2) - nnz c^2). The
+    Returns (floor, c, sum_sq): c the observed mean if center is set, else
+    0; floor that of L_W and L_H, 1e-12 times the mean square of X - c over
+    all m x n cells, at least 1e-12 (sum((x - c)^2) = sum(x^2) - nnz c^2);
+    and sum_sq = sum(x^2), which a full-mask solve's objectives reuse. The
     sums and, with bounds, the row extrema come from one
     :meth:`~bssmf.matrixcore.ObservationMask.sweep`, which reads X once. A
     NaN or inf entry makes the sum of squares non-finite, so the elementwise
@@ -155,7 +156,7 @@ def _check_observed(X, M, bounds=None, center=False):
         if np.any(lo < a - _slack(a)) or np.any(hi > b + _slack(b)):
             warnings.warn("observed entries outside [a, b]; proceeding anyway")
     c = total / M.nnz if center else 0.0
-    return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols)), c
+    return 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / (M.rows * M.cols)), c, sum_sq
 
 
 class _BlockState:
@@ -198,10 +199,11 @@ def _block_step(F, F_old, step, project, state, n_inner, extrapolate):
 
 
 def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate,
-                   gram=None, work=None):
+                   gram=None, work=None, cross=None):
     """n_inner steps on W with H frozen, at the step constant state.L; gram
-    (HH^T) and work (a matrixcore.Workspace) are reused when given."""
-    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, gram, work),
+    (HH^T), work (a matrixcore.Workspace) and cross (XH^T, full mask) are
+    reused when given."""
+    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, gram, work, cross),
                        variant.project_W, state, n_inner, extrapolate)
 
 
@@ -227,7 +229,11 @@ def solve(X, M, variant, config):
     c^2 m 11^T part of ||W^T W||_2 would make every H step tiny.
 
     With rel_tol == 0 and record_trace off, only the first and last
-    objectives are kept, so only those two are computed.
+    objectives are kept, so only those two are computed. On a full mask an
+    objective is taken in the Gram form (:func:`matrixcore.gram_objective`)
+    from the sum of squares of X, HH^T, W^TW and XH^T, which the next W block
+    reuses, until that form declines near an exact fit; from then on it is
+    the residual form.
 
     After each outer pass the step constants L_W, L_H and the objective, when
     computed, must be finite. If one is not (finite data whose squares
@@ -259,8 +265,8 @@ def _solve(X, M, variant, config, W=None):
         raise ConfigError("centering requires the bounded simplex variant")
     if config.center and M.nnz == 0:
         raise ValueError("cannot center with an empty mask")
-    floor, c = _check_observed(x, M, variant.bounds if variant.kind == BSSMF else None,
-                               config.center)
+    floor, c, sum_sq = _check_observed(x, M, variant.bounds if variant.kind == BSSMF
+                                       else None, config.center)
 
     def gram_H(W):  # the Gram matrix L_H is taken of
         Wc = W - c if c else W
@@ -282,27 +288,43 @@ def _solve(X, M, variant, config, W=None):
         sw = _BlockState(max(mc.spectral_norm(G_W), floor))
         states, passes, inner_H = (sw, sh), config.max_outer, config.max_inner_H
 
+    gram_form, cross = M.is_full and not frozen, None
+
+    def objective(W, H):
+        """The objective at (W, H), in the Gram form while it holds; that
+        form leaves cross = XH^T for the next W block."""
+        nonlocal gram_form, cross
+        if gram_form:
+            cross = x @ H.T
+            f = mc.gram_objective(sum_sq, W, cross, G_W, None if c else G_H)
+            if f is not None:
+                return f
+            gram_form = False  # near an exact fit it would decline on every pass
+        return mc.objective(x, W, H, M, work)
+
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [mc.objective(x, W, H, M, work)]
+    trace = [objective(W, H)]
     ltrace, stop, outer = [], "max_iters", 0
     for outer in range(1, passes + 1):
         W_prev, H_prev = W, H
         if not frozen:
-            W, W_old = update_W_block(x, W, H, M, variant, sw, W_old,
-                                      config.max_inner_W, config.extrapolate, G_W, work)
+            W, W_old = update_W_block(x, W, H, M, variant, sw, W_old, config.max_inner_W,
+                                      config.extrapolate, G_W, work, cross)
+            cross = None  # X H^T holds only for this H, which the H block replaces
             G_H = gram_H(W)
             sh.L = max(mc.spectral_norm(G_H), floor)
-        # the H step needs W^TW itself, which G_H is only when c == 0
+        # the H step and the objective need W^TW itself, which G_H is only when c == 0
         H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, inner_H,
                                   config.extrapolate, None if c else G_H, work)
         if not frozen:
             G_W = H @ H.T
             sw.L = max(mc.spectral_norm(G_W), floor)
-        f = mc.objective(x, W, H, M, work) if every_pass else 0.0
+        f = objective(W, H) if every_pass else 0.0
         Ls = tuple(state.L for state in states)
         if not (all(map(math.isfinite, Ls)) and math.isfinite(f)):
-            # overflow: the next steps would be NaN, so keep the last finite pass
-            W, H, outer, stop = W_prev, H_prev, outer - 1, "diverged"
+            # overflow: the next steps would be NaN, so keep the last finite pass;
+            # G_H and G_W are the dropped pass's, so no Gram form after this
+            W, H, outer, stop, gram_form = W_prev, H_prev, outer - 1, "diverged", False
             break
         ltrace.append(Ls)
         if every_pass:
@@ -312,7 +334,7 @@ def _solve(X, M, variant, config, W=None):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(mc.objective(x, W, H, M, work))
+        trace.append(objective(W, H))
     if not config.record_trace:
         trace, ltrace = [trace[0], trace[-1]], []
     return FactorPair(W, H), SolveReport(trace, outer, ltrace, time.perf_counter() - t0, stop)

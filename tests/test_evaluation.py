@@ -468,7 +468,7 @@ class TestSolveHGivenW:
                 var = ModelVariant.from_kind(kind, BoundsVector.constant(M.rows, 1, 5))
                 H = var.project_H(np.random.default_rng(cfg.seed).uniform(size=(3, M.cols)))
                 H_old = H
-                floor, _ = sv._check_observed(x, M)
+                floor, _, _ = sv._check_observed(x, M)
                 state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
                 for _ in range(cfg.max_outer):
                     H, H_old = sv.update_H_block(x, W, H, M, var, state, H_old,

@@ -70,6 +70,19 @@ class TestBitIdentity:
         same_bits = got.view(np.int64) == want.view(np.int64)
         assert np.all(same_bits | (want == 0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(simplex_inputs() | st.builds(
+        lambda seed, r, n: np.random.default_rng(seed).standard_normal((r, n)),
+        st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 300)))
+    def test_simplex_prefix_sums_are_cumsums(self, V):
+        """The row-by-row prefix sums make np.cumsum's additions in its order."""
+        r = V.shape[0]
+        G = np.cumsum(np.sort(V, axis=0)[::-1], axis=0)
+        want = np.maximum(V - ((G - 1.0) / np.arange(1, r + 1)[:, None]).max(axis=0), 0.0)
+        if r == 1:
+            want = np.ones_like(V)
+        assert project_simplex_columns(V).tobytes() == want.tobytes()
+
     def test_nmf_project_W_is_maximum_with_zero(self):
         rng = np.random.default_rng(7)
         W = rng.standard_normal((6, 4))

@@ -270,8 +270,8 @@ class TestSolve:
         monkeypatch.setattr(mc, "_SWEEP_BYTES", 8 * 5 * 2)
         X = np.full((12, 5), 1e200)
         with np.errstate(over="ignore"):
-            floor, _ = _check_observed(X, ObservationMask.full(12, 5),
-                                       BoundsVector.constant(12, 0, 2e200))
+            floor, _, _ = _check_observed(X, ObservationMask.full(12, 5),
+                                          BoundsVector.constant(12, 0, 2e200))
         assert floor == np.inf
 
     def test_rounding_above_a_bound_does_not_warn(self):
@@ -493,7 +493,7 @@ class TestCenteringIsAStepRule:
         c = float(np.mean(x))
         shifted = 1e-12 * np.sum((x - c) ** 2) / X.size
         assert shifted > 1e-12
-        floor, c_seen = _check_observed(x, M, center=True)
+        floor, c_seen, _ = _check_observed(x, M, center=True)
         assert c_seen == c  # a sparse mask's sum is np.mean's, bit for bit
         assert floor == pytest.approx(shifted, rel=1e-12)
 
@@ -650,6 +650,129 @@ class TestObjectiveEvaluations:
         assert np.array_equal(f_short.W, f_full.W) and np.array_equal(f_short.H, f_full.H)
 
 
+def _exact_or_noisy(rng, m, n, r, exact):
+    """X = W0 H0 with W0 in [1, 5] and H0 on the simplex; unless exact, with
+    noise added and clipped to [1, 5]."""
+    X = rng.uniform(1, 5, size=(m, r)) @ project_simplex_columns(rng.uniform(size=(r, n)))
+    return X if exact else np.clip(X + 0.3 * rng.standard_normal((m, n)), 1, 5)
+
+
+@st.composite
+def full_mask_fits(draw):
+    """A full-mask problem, exact or noisy, a variant, and a config with
+    rel_tol 0 and every objective recorded."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    r = draw(st.integers(1, min(m, n)))
+    X = _exact_or_noisy(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n, r,
+                        exact=draw(st.booleans()))
+    kind = draw(st.sampled_from(["bssmf", "nmf", "mf"]))
+    config = SolverConfig(rank=r, max_inner_W=draw(st.integers(1, 3)),
+                          max_inner_H=draw(st.integers(1, 3)), rel_tol=0.0,
+                          extrapolate=draw(st.booleans()),
+                          center=kind == "bssmf" and draw(st.booleans()),
+                          seed=draw(st.integers(0, 99)))
+    return X, kind, config
+
+
+class TestGramObjective:
+    """A full-mask solve takes its objectives in the Gram form from products it
+    forms anyway, until that form declines; its factors are those of the
+    residual form."""
+
+    @staticmethod
+    def _declined(monkeypatch):
+        monkeypatch.setattr(mc, "gram_objective", lambda *args, **kwargs: None)
+
+    @pytest.mark.parametrize("kind, center", [("bssmf", False), ("bssmf", True),
+                                              ("nmf", False), ("mf", False)])
+    @pytest.mark.parametrize("extrapolate", [True, False])
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_factors_are_those_of_the_residual_form(self, monkeypatch, kind, center,
+                                                    extrapolate, record_trace):
+        X = _exact_or_noisy(np.random.default_rng(21), 30, 25, 3, exact=False)
+        M = ObservationMask.full(*X.shape)
+        var = ModelVariant.from_kind(kind, BoundsVector.constant(30, 1, 5))
+        cfg = SolverConfig(rank=3, max_outer=25, max_inner_W=3, max_inner_H=3, rel_tol=0.0,
+                           extrapolate=extrapolate, center=center, seed=3,
+                           record_trace=record_trace)
+        f, rep = solve(X, M, var, cfg)
+        self._declined(monkeypatch)
+        f_res, rep_res = solve(X, M, var, cfg)
+        assert np.array_equal(f.W, f_res.W) and np.array_equal(f.H, f_res.H)
+        assert (rep.stop_reason, rep.outer_iterations) == (rep_res.stop_reason,
+                                                           rep_res.outer_iterations)
+        assert rep.lipschitz_trace == rep_res.lipschitz_trace
+        assert rep.objective_trace == pytest.approx(rep_res.objective_trace, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(full_mask_fits())
+    def test_each_objective_is_that_of_its_iterate(self, problem):
+        X, kind, config = problem
+        M = ObservationMask.full(*X.shape)
+        var = ModelVariant.from_kind(kind, BoundsVector.constant(M.rows, 1, 5))
+        for k in range(1, 7):
+            f, rep = solve(X, M, var, replace(config, max_outer=k))
+            assert rep.objective_trace[-1] == pytest.approx(objective(X, f.W, f.H, M),
+                                                            rel=1e-12, abs=1e-300)
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """The calls to mc.<name> from now on, one entry per call."""
+        counted = []
+        inner = getattr(mc, name)
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    def test_noisy_fit_forms_no_residual(self, monkeypatch, solver):
+        counted = self._count(monkeypatch, "objective")
+        X = _exact_or_noisy(np.random.default_rng(22), 20, 15, 3, exact=False)
+        var = ModelVariant.bssmf(BoundsVector.constant(20, 1, 5))
+        _, rep = solver(X, ObservationMask.full(20, 15), var,
+                        SolverConfig(rank=3, max_outer=30, rel_tol=0.0, seed=1))
+        assert len(rep.objective_trace) == 31 and counted == []
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_exact_fit_falls_back_to_the_residual(self, monkeypatch, seed):
+        counted = self._count(monkeypatch, "objective")
+        tried = self._count(monkeypatch, "gram_objective")
+        X = _exact_or_noisy(np.random.default_rng(0), 12, 10, 2, exact=True)
+        _, rep = solve(X, ObservationMask.full(12, 10), ModelVariant.nmf(12),
+                       SolverConfig(rank=2, max_outer=300, seed=seed))
+        assert rep.stop_reason == "tol_reached"
+        # the Gram form is tried until it first declines, the residual form from then on
+        assert 0 < len(counted) < len(rep.objective_trace)
+        assert len(tried) + len(counted) == len(rep.objective_trace) + 1
+        assert rep.objective_trace[-1] < 1e-20 * rep.objective_trace[0]
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_overflowing_squares_add_no_warning(self, monkeypatch, solver, record_trace):
+        """Finite data whose squares overflow still stops "diverged" after no
+        pass, with the warnings of the residual form alone: the Gram form is
+        declined before any product, so it adds none."""
+        X = np.full((4, 3), 1e200)
+        var = ModelVariant.bssmf(BoundsVector.constant(4, 0, 2e200))
+        cfg = SolverConfig(rank=2, max_outer=2, seed=0, record_trace=record_trace)
+        caught = []
+        for declined in (False, True):
+            if declined:
+                self._declined(monkeypatch)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                f, rep = solver(X, ObservationMask.full(4, 3), var, cfg)
+            assert (rep.stop_reason, rep.outer_iterations) == ("diverged", 0)
+            assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H))
+            caught.append([str(w.message) for w in seen])
+        assert caught[0] == caught[1]
+        assert not any("invalid" in message for message in caught[0])
+
+
 class TestPredict:
     def test_vertex_selection(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -761,6 +884,11 @@ class TestInnerStep:
                 solve_centered(X, M, var, cfg)
             for F_old in (W_old, W):  # a previous iterate, or F itself
                 update_W_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
+            if not sparse:  # X H^T handed in, as the solve hands it on from its objective
+                cross = X @ H.T
+                cross.flags.writeable = False
+                update_W_block(X, W, H, M, var, _BlockState(10.0), W_old, 3, True,
+                               cross=cross)
             for F_old in (H_old, H):
                 update_H_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
             solve_h_given_w(X, M, W, var, cfg)
