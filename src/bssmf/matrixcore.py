@@ -21,11 +21,16 @@ What is fixed for a solve, a block or a call is built once for it:
 
 - per mask, which is shared data: the cells in canonical order, their
   weights and, for sparse data, their observed values;
-- per solve: a :class:`Workspace`, which for a sparse mask holds the block
-  plan of the product at the cells, the CSC residual, its CSR transpose over
-  the same values, the block buffer and the squared weights unless every
-  weight is 1. The gradients and objectives of the solve overwrite the
-  residual and the buffer, so a solve holds one set;
+- per solve: a :class:`Workspace`. On every mask it holds the last products
+  of each frozen factor, the Gram matrix (HH^T on the W side, W^TW on the H
+  side) and the product with X (XH^T or W^TX), each with the arrays it was
+  formed from, and hands one back only to a call with those same arrays. So
+  a solve forms each product once: the step constant, the steps of a block
+  and the objective share it. For a sparse mask it also holds the block plan
+  of the product at the cells, the CSC residual, its CSR transpose over the
+  same values, the block buffer and the squared weights unless every weight
+  is 1. The gradients and objectives of the solve overwrite the residual and
+  the buffer, so a solve holds one set;
 - per block, while one factor is frozen: :func:`step_map` builds the inner
   step F_bar -> F_bar - grad(F_bar)/L. For a full mask that is an affine map,
   F_bar (I - G/L) + X H^T/L on the W side and (I - G/L) F_bar + W^T X/L on
@@ -39,14 +44,14 @@ the weights to it, and build a workspace when they are given none.
 
 :func:`objective` forms the residual: for a full mask it forms WH once and
 subtracts and squares in that buffer, so each evaluation allocates one m x n
-array and never writes X, W or H. A solve on a full mask has the pieces of the
-Gram form 0.5||X||^2 - <W, XH^T> + 0.5<W^TW, HH^T> at hand (the sum of
-squares from its check of X, both Gram matrices, and XH^T, which its next W
-step needs), so :func:`gram_objective` takes the objective from them with no
-m x n array. Near an exact fit the three terms cancel, and the stopping test
-and exact-recovery checks need the small residual: the Gram value is used
-only when it is at least 1e-3 of the sum of the terms' magnitudes, and once
-it is not, the solve keeps to the residual form.
+array and never writes X, W or H. A solve takes its objectives through
+:meth:`Workspace.objective`, which on a full mask uses the Gram form
+0.5||X||^2 - <W, XH^T> + 0.5<W^TW, HH^T> (:func:`gram_objective`) from ||X||^2
+and the products the workspace holds, with no m x n array. Near an exact fit
+the three terms cancel, and the stopping test and exact-recovery checks need
+the small residual: the Gram value is used only when it is at least 1e-3 of
+the sum of the terms' magnitudes, and once it is not, the solve keeps to the
+residual form.
 
 Sparse data is its observed values, kept by the mask in its cell order as
 ``M.values``. A kernel takes the data X as the m x n array or, for a sparse
@@ -152,9 +157,10 @@ class ObservationMask:
         with none."""
         return self.sweep(A, sums=False)[2:]
 
-    def sweep(self, A, sums=True, extrema=True):
+    def sweep(self, A, sums=True, extrema=True, total=True):
         """(sum, sum of squares, row minima, row maxima) of A over observed
-        cells, with None for a part not asked for; see :meth:`row_extrema`.
+        cells, with None for a part not asked for: the sums need sums, the
+        plain sum also total; see :meth:`row_extrema`.
 
         A full mask reads A once, in blocks of rows of about _SWEEP_BYTES, and
         reduces each block while it is in cache. The extrema are those of
@@ -164,27 +170,29 @@ class ObservationMask:
         inf entry makes the sum of squares non-finite.
         """
         vals = self.observed(A)
-        total = sum_sq = lo = hi = None
+        total, sum_sq = 0.0 if sums and total else None, 0.0 if sums else None
+        lo = hi = None
         with np.errstate(invalid="ignore"):  # an inf - inf or NaN entry gives NaN, quietly
             if self._full:
                 m, n = vals.shape
                 height = max(1, _SWEEP_BYTES // (vals.itemsize * n))
                 if extrema:
                     lo, hi = np.empty(m, vals.dtype), np.empty(m, vals.dtype)
-                if sums:
-                    total = sum_sq = 0.0
                 for i0 in range(0, m, height):
                     rows = slice(i0, i0 + height)
                     block = vals[rows]
                     if extrema:
                         np.minimum.reduce(block, axis=1, out=lo[rows])
                         np.maximum.reduce(block, axis=1, out=hi[rows])
-                    if sums:
+                    if total is not None:
                         total += float(np.sum(block))
+                    if sums:
                         sum_sq += float(np.einsum("ij,ij->", block, block))
                 return total, sum_sq, lo, hi
+            if total is not None:
+                total = float(np.sum(vals))
             if sums:
-                total, sum_sq = float(np.sum(vals)), float(np.einsum("i,i->", vals, vals))
+                sum_sq = float(np.einsum("i,i->", vals, vals))
             if extrema:
                 lo, hi = np.full(self.rows, np.inf), np.full(self.rows, -np.inf)
                 np.minimum.at(lo, self.row_idx, vals)
@@ -253,15 +261,29 @@ def _check_dims(W, H, M):
 
 
 class Workspace:
-    """What the sparse-mask kernels of one solve derive from the mask's
-    cells: the block ``plan`` of the product, the CSC residual ``R``, its
-    CSR transpose ``Rt`` over the same values, the product's buffer ``buf``
-    and the squared weights ``w2`` (None when every weight is 1). Each
-    gradient or objective overwrites R and buf, so the blocks of a solve
-    share one; the mask, which callers share, keeps none. For a full mask
-    every field is None."""
+    """What the kernels of one solve keep between calls.
+
+    On every mask, the last products of each frozen factor F:
+    ``product("gram", side, F)`` is HH^T on side "W" (F = H) and W^TW on side
+    "H" (F = W), and ``product("cross", side, F, x)`` is XH^T or W^TX, from the
+    full data x. Each is held with the arrays it was formed from and handed
+    back only to a call with those same arrays (``is``, not equality); any
+    other call forms a new one and holds it instead. That is sound because a
+    solve never writes a factor or the data in place (see
+    ``solver._block_step``), and a held array cannot be freed and its id
+    reused.
+
+    For a sparse mask, also what the kernels derive from the mask's cells:
+    the block ``plan`` of the product, the CSC residual ``R``, its CSR
+    transpose ``Rt`` over the same values, the product's buffer ``buf`` and
+    the squared weights ``w2`` (None when every weight is 1). Each gradient
+    or objective overwrites R and buf, so the blocks of a solve share one;
+    the mask, which callers share, keeps none. For a full mask these fields
+    are None."""
 
     def __init__(self, M):
+        self._gram_form = M.is_full
+        self._held = {}  # (kind, side) -> (F, x, product)
         self.plan = self.R = self.Rt = self.buf = self.w2 = None
         if M.is_full:
             return
@@ -273,6 +295,41 @@ class Workspace:
         self.Rt = self.R.T  # CSR on the transposed pattern, sharing R.data
         self.buf = np.empty(self.plan.buffer_size)
         self.w2 = None if np.all(M.weights == 1.0) else M.weights**2
+
+    def product(self, kind, side, F, x=None):
+        """The held product of kind "gram" or "cross" on side of F (and x),
+        formed now if none is held for these arrays. Never write it."""
+        held = self._held.get((kind, side))
+        if held is None or held[0] is not F or held[1] is not x:
+            held = self._held[kind, side] = (F, x, self._form(kind, side, F, x))
+        return held[2]
+
+    @staticmethod
+    def _form(kind, side, F, x):
+        if kind == "gram":
+            return F @ F.T if side == "W" else F.T @ F
+        return x @ F.T if side == "W" else F.T @ x
+
+    def objective(self, x, W, H, M, sum_sq):
+        """The objective at (W, H) of the solve of x, with sum_sq = ||x||^2.
+
+        While :func:`gram_objective` accepts, and only on a full mask, it is
+        the Gram form: after an H block from <W^TX, H>, with the W^TX that
+        block formed, else from <W, XH^T>, forming the XH^T that the next W
+        block takes. From the first time it declines, it is the module's
+        :func:`objective`.
+        """
+        if self._gram_form:
+            grams = self.product("gram", "H", W), self.product("gram", "W", H)
+            held = self._held.get(("cross", "H"))
+            if held is not None and held[0] is W and held[1] is x:  # after an H block
+                f = gram_objective(sum_sq, H, held[2], *grams)
+            else:
+                f = gram_objective(sum_sq, W, self.product("cross", "W", H, x), *grams)
+            if f is not None:
+                return f
+            self._gram_form = False  # near an exact fit it would decline on every pass
+        return objective(x, W, H, M, self)  # the module's residual objective
 
 
 def _misfit(x, W, H, M, work):
@@ -315,23 +372,21 @@ def objective(X, W, H, M, work=None):
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
 
 
-def gram_objective(sum_sq, W, cross, HHt, WtW=None):
-    """The full-mask objective in the Gram form, 0.5 sum_sq - <W, cross> +
-    0.5 <W^TW, HH^T>, from sum_sq = ||X||^2, cross = XH^T and HHt = HH^T;
-    W^TW is formed when WtW is not given. No m x n array is formed.
+def gram_objective(sum_sq, F, cross, WtW, HHt):
+    """The full-mask objective in the Gram form, 0.5 sum_sq - <F, cross> +
+    0.5 <W^TW, HH^T>, from sum_sq = ||X||^2 and either F = W, cross = XH^T or
+    F = H, cross = W^TX: <W, XH^T> = <W^TX, H>. No m x n array is formed.
 
-    Returns None where the form is not trusted: a non-finite sum_sq (tested
-    before any product), or a value that is not finite or is below 1e-3 T,
-    T = 0.5 sum_sq + |<W, cross>| + 0.5 <W^TW, HH^T>. The value is within a
-    few u T of the residual form (u = 2^-53), so an accepted one is within
-    about 1e-12 of it, relative; near an exact fit the terms cancel, and the
-    caller takes :func:`objective` instead.
+    Returns None where the form is not trusted: a non-finite sum_sq, or a
+    value that is not finite or is below 1e-3 T, T = 0.5 sum_sq + |<F, cross>|
+    + 0.5 <W^TW, HH^T>. The value is within a few u T of the residual form
+    (u = 2^-53), so an accepted one is within about 1e-12 of it, relative;
+    near an exact fit the terms cancel, and the caller takes :func:`objective`
+    instead.
     """
     if not math.isfinite(sum_sq):
         return None
-    if WtW is None:
-        WtW = W.T @ W
-    data, fit = 0.5 * sum_sq, float(np.vdot(W, cross))
+    data, fit = 0.5 * sum_sq, float(np.vdot(F, cross))
     model = 0.5 * float(np.vdot(WtW, HHt))
     f = data - fit + model
     return f if math.isfinite(f) and f >= 1e-3 * (data + abs(fit) + model) else None
@@ -387,7 +442,7 @@ def _sparse_gradient(x, F, M, side, work):
     return grad
 
 
-def step_map(X, F, M, side, L, gram=None, work=None, cross=None):
+def step_map(X, F, M, side, L, work=None):
     """The inner step of one block before its projection, F_bar ->
     F_bar - grad(F_bar)/L, with the other factor F frozen and the step
     constant L fixed for the block. side="W": F is H and the map acts on W;
@@ -395,23 +450,19 @@ def step_map(X, F, M, side, L, gram=None, work=None, cross=None):
 
     A full mask builds the affine map F_bar (I - G/L) + XH^T/L (side "W") or
     (I - G/L) F_bar + W^TX/L (side "H"), where G is the Gram matrix HH^T or
-    W^TW; pass it as gram when the caller has formed it, as the solver does
-    for L, and pass XH^T or W^TX as cross when the caller has formed it, as
-    the solver does for the objective (it is divided by L into a new array).
-    This is F_bar - grad(F_bar)/L reassociated: a step is one small product
-    and one sum. A sparse mask computes the gradient at the cells
-    in work (a new :class:`Workspace` when None), divides it by L in place
-    and subtracts it from F_bar into the same array. Every call returns a
-    new array and writes none of its arguments.
+    W^TW; G and XH^T or W^TX come from work, which forms them unless it
+    holds them for F. This is F_bar - grad(F_bar)/L reassociated: a step is
+    one small product and one sum. A sparse mask computes the gradient at
+    the cells in work, divides it by L in place and subtracts it from F_bar
+    into the same array. Without work a new :class:`Workspace` is used.
+    Every call returns a new array and writes none of its arguments.
     """
     x, free_shape = _frozen(X, F, M, side)
+    work = Workspace(M) if work is None else work
     if M.is_full:
-        if gram is None:
-            gram = F @ F.T if side == "W" else F.T @ F
-        A = np.eye(len(gram)) - gram / L
-        if cross is None:
-            cross = x @ F.T if side == "W" else F.T @ x
-        B = cross / L
+        G = work.product("gram", side, F)
+        A = np.eye(len(G)) - G / L
+        B = work.product("cross", side, F, x) / L
         times_A = (lambda W: W @ A) if side == "W" else (lambda H: A @ H)
 
         def step(F_bar):
@@ -419,7 +470,7 @@ def step_map(X, F, M, side, L, gram=None, work=None, cross=None):
             S += B
             return S
     else:
-        grad = _sparse_gradient(x, F, M, side, Workspace(M) if work is None else work)
+        grad = _sparse_gradient(x, F, M, side, work)
 
         def step(F_bar):
             S = grad(F_bar)

@@ -142,13 +142,14 @@ def _check_observed(X, M, bounds=None, center=False):
     0; floor that of L_W and L_H, 1e-12 times the mean square of X - c over
     all m x n cells, at least 1e-12 (sum((x - c)^2) = sum(x^2) - nnz c^2);
     and sum_sq = sum(x^2), which a full-mask solve's objectives reuse. The
-    sums and, with bounds, the row extrema come from one
+    sum of squares, the plain sum when centering and, with bounds, the row
+    extrema come from one
     :meth:`~bssmf.matrixcore.ObservationMask.sweep`, which reads X once. A
     NaN or inf entry makes the sum of squares non-finite, so the elementwise
     scan runs only when it is; it tells such an entry from finite entries
     whose squares overflow.
     """
-    total, sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None)
+    total, sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None, total=center)
     if not math.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
         raise ValueError("X has a non-finite (NaN or inf) observed entry")
     if bounds is not None:
@@ -198,20 +199,17 @@ def _block_step(F, F_old, step, project, state, n_inner, extrapolate):
     return F, F_old
 
 
-def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate,
-                   gram=None, work=None, cross=None):
-    """n_inner steps on W with H frozen, at the step constant state.L; gram
-    (HH^T), work (a matrixcore.Workspace) and cross (XH^T, full mask) are
-    reused when given."""
-    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, gram, work, cross),
+def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate, work=None):
+    """n_inner steps on W with H frozen, at the step constant state.L; the
+    step's products of H come from work (a matrixcore.Workspace) when given."""
+    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, work),
                        variant.project_W, state, n_inner, extrapolate)
 
 
-def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate,
-                   gram=None, work=None):
-    """n_inner steps on H with W frozen, at the step constant state.L; gram
-    (W^TW) and work (a matrixcore.Workspace) are reused when given."""
-    return _block_step(H, H_old, mc.step_map(X, W, M, "H", state.L, gram, work),
+def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate, work=None):
+    """n_inner steps on H with W frozen, at the step constant state.L; the
+    step's products of W come from work (a matrixcore.Workspace) when given."""
+    return _block_step(H, H_old, mc.step_map(X, W, M, "H", state.L, work),
                        variant.project_H, state, n_inner, extrapolate)
 
 
@@ -229,11 +227,11 @@ def solve(X, M, variant, config):
     c^2 m 11^T part of ||W^T W||_2 would make every H step tiny.
 
     With rel_tol == 0 and record_trace off, only the first and last
-    objectives are kept, so only those two are computed. On a full mask an
-    objective is taken in the Gram form (:func:`matrixcore.gram_objective`)
-    from the sum of squares of X, HH^T, W^TW and XH^T, which the next W block
-    reuses, until that form declines near an exact fit; from then on it is
-    the residual form.
+    objectives are kept, so only those two are computed. One
+    :class:`matrixcore.Workspace` serves the whole solve: the step constants,
+    the blocks and the objectives (:meth:`matrixcore.Workspace.objective`,
+    in the Gram form on a full mask until that form declines near an exact
+    fit) take the products of the factors from it, so each is formed once.
 
     After each outer pass the step constants L_W, L_H and the objective, when
     computed, must be finite. If one is not (finite data whose squares
@@ -267,64 +265,48 @@ def _solve(X, M, variant, config, W=None):
         raise ValueError("cannot center with an empty mask")
     floor, c, sum_sq = _check_observed(x, M, variant.bounds if variant.kind == BSSMF
                                        else None, config.center)
-
-    def gram_H(W):  # the Gram matrix L_H is taken of
-        Wc = W - c if c else W
-        return Wc.T @ Wc
-
     if M.nnz == 0:
         return factors, SolveReport([0.0], stop_reason="tol_reached")
 
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    work = mc.Workspace(M)  # the sparse-mask buffers, shared by every block and objective
-    G_H = gram_H(W)
-    sh = _BlockState(max(mc.spectral_norm(G_H), floor))
+    work = mc.Workspace(M)  # the factors' products and sparse buffers, for the whole solve
+
+    def L_H(W):
+        if c:  # the Gram matrix of W - c, formed from one array
+            Wc = W - c
+            return max(mc.spectral_norm(Wc.T @ Wc), floor)
+        return max(mc.spectral_norm(work.product("gram", "H", W)), floor)
+
+    def L_W(H):
+        return max(mc.spectral_norm(work.product("gram", "W", H)), floor)
+
+    sh = _BlockState(L_H(W))
     if frozen:  # the passes are one H block, as solve_h says
         states, passes, inner_H = (sh,), 1, config.max_outer * config.max_inner_H
     else:
-        G_W = H @ H.T
-        sw = _BlockState(max(mc.spectral_norm(G_W), floor))
+        sw = _BlockState(L_W(H))
         states, passes, inner_H = (sw, sh), config.max_outer, config.max_inner_H
 
-    gram_form, cross = M.is_full and not frozen, None
-
-    def objective(W, H):
-        """The objective at (W, H), in the Gram form while it holds; that
-        form leaves cross = XH^T for the next W block."""
-        nonlocal gram_form, cross
-        if gram_form:
-            cross = x @ H.T
-            f = mc.gram_objective(sum_sq, W, cross, G_W, None if c else G_H)
-            if f is not None:
-                return f
-            gram_form = False  # near an exact fit it would decline on every pass
-        return mc.objective(x, W, H, M, work)
-
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [objective(W, H)]
+    trace = [work.objective(x, W, H, M, sum_sq)]
     ltrace, stop, outer = [], "max_iters", 0
     for outer in range(1, passes + 1):
         W_prev, H_prev = W, H
         if not frozen:
             W, W_old = update_W_block(x, W, H, M, variant, sw, W_old, config.max_inner_W,
-                                      config.extrapolate, G_W, work, cross)
-            cross = None  # X H^T holds only for this H, which the H block replaces
-            G_H = gram_H(W)
-            sh.L = max(mc.spectral_norm(G_H), floor)
-        # the H step and the objective need W^TW itself, which G_H is only when c == 0
+                                      config.extrapolate, work)
+            sh.L = L_H(W)
         H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, inner_H,
-                                  config.extrapolate, None if c else G_H, work)
+                                  config.extrapolate, work)
         if not frozen:
-            G_W = H @ H.T
-            sw.L = max(mc.spectral_norm(G_W), floor)
-        f = objective(W, H) if every_pass else 0.0
+            sw.L = L_W(H)
+        f = work.objective(x, W, H, M, sum_sq) if every_pass else 0.0
         Ls = tuple(state.L for state in states)
         if not (all(map(math.isfinite, Ls)) and math.isfinite(f)):
-            # overflow: the next steps would be NaN, so keep the last finite pass;
-            # G_H and G_W are the dropped pass's, so no Gram form after this
-            W, H, outer, stop, gram_form = W_prev, H_prev, outer - 1, "diverged", False
+            # overflow: the next steps would be NaN, so keep the last finite pass
+            W, H, outer, stop = W_prev, H_prev, outer - 1, "diverged"
             break
         ltrace.append(Ls)
         if every_pass:
@@ -334,7 +316,7 @@ def _solve(X, M, variant, config, W=None):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(objective(W, H))
+        trace.append(work.objective(x, W, H, M, sum_sq))
     if not config.record_trace:
         trace, ltrace = [trace[0], trace[-1]], []
     return FactorPair(W, H), SolveReport(trace, outer, ltrace, time.perf_counter() - t0, stop)

@@ -615,17 +615,18 @@ class TestStepMap:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["bssmf", "nmf", "mf"]), st.integers(1, 9), st.integers(1, 9),
            st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_full_mask_map_is_the_gradient_step(self, kind, m, n, r, pass_gram, seed):
+    def test_full_mask_map_is_the_gradient_step(self, kind, m, n, r, shared, seed):
         """The affine map equals F_bar - gradient(F_bar)/L to rel 1e-12 of the
-        largest entry, on both sides, with the Gram matrix passed or not."""
+        largest entry, on both sides, with a shared workspace or not."""
         rng = np.random.default_rng(seed)
         W, H = _variant_factors(kind, rng, m, n, r)
         W_bar, H_bar = _variant_factors(kind, rng, m, n, r)
         X = W @ H + 0.1 * rng.standard_normal((m, n))
         M = ObservationMask.full(m, n)
+        work = Workspace(M) if shared else None
         for side, F, F_bar, G in (("W", H, W_bar, H @ H.T), ("H", W, H_bar, W.T @ W)):
             L = max(spectral_norm(G), 1e-12) * rng.uniform(1.0, 3.0)
-            step = step_map(X, F, M, side, L, G if pass_gram else None)
+            step = step_map(X, F, M, side, L, work)
             want = F_bar - _gradient(X, F, M, side, F_bar) / L
             got = step(F_bar)
             assert got.shape == want.shape
@@ -643,7 +644,7 @@ class TestStepMap:
         work = Workspace(M)
         for side, F, F_bar in (("W", H, W), ("H", W, H), ("W", H + 0.5, W - 0.5)):
             want = F_bar - _gradient(X, F, M, side, F_bar) / 3.0
-            assert np.array_equal(step_map(X, F, M, side, 3.0, None, work)(F_bar), want)
+            assert np.array_equal(step_map(X, F, M, side, 3.0, work)(F_bar), want)
 
     def test_rejects_bad_side_and_shapes(self):
         X, M = np.ones((4, 3)), ObservationMask.full(4, 3)

@@ -141,3 +141,15 @@ def test_no_module_reads_another_modules_private_names(path):
     assert _private_reads(path) == [], (
         f"bssmf.{path.stem} reads private names of other modules: make them public "
         "or move the code that needs them")
+
+
+def _reads_is_full(path):
+    return any(isinstance(node, ast.Attribute) and node.attr == "is_full"
+               for node in ast.walk(_tree(path)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_matrixcore_tells_full_from_sparse_masks(path):
+    assert path.stem == "matrixcore" or not _reads_is_full(path), (
+        f"bssmf.{path.stem} reads ObservationMask.is_full: let a matrixcore kernel "
+        "or the Workspace tell the two cases apart")

@@ -497,6 +497,32 @@ class TestCenteringIsAStepRule:
         assert c_seen == c  # a sparse mask's sum is np.mean's, bit for bit
         assert floor == pytest.approx(shifted, rel=1e-12)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_only_a_centered_check_takes_the_plain_sum(self, monkeypatch, sparse):
+        """floor and sum_sq are those of the whole sweep, c its sum over nnz bit
+        for bit, and an uncentered check asks the sweep for no plain sum."""
+        rng = np.random.default_rng(7)
+        X = rng.uniform(40.0, 60.0, size=(30, 20))
+        M = random_mask(rng, 30, 20, density=0.5) if sparse else ObservationMask.full(30, 20)
+        x = M.observed(X)
+        monkeypatch.setattr(mc, "_SWEEP_BYTES", 8 * 20 * 7)  # a full mask's rows in 5 blocks
+        total, sum_sq, _, _ = M.sweep(x)
+        totals = []
+        sweep = ObservationMask.sweep
+
+        def recording(self, *args, **kwargs):
+            out = sweep(self, *args, **kwargs)
+            totals.append(out[0])
+            return out
+
+        monkeypatch.setattr(ObservationMask, "sweep", recording)
+        floor, c, seen_sq = _check_observed(x, M)
+        assert (floor, c, seen_sq) == (1e-12 * max(1.0, sum_sq / X.size), 0.0, sum_sq)
+        floor, c, seen_sq = _check_observed(x, M, center=True)
+        assert c == total / M.nnz and seen_sq == sum_sq
+        assert floor == 1e-12 * max(1.0, (sum_sq - M.nnz * c * c) / X.size)
+        assert totals == [None, total]
+
     def test_full_mask_peak_below_one_and_a_half_dense_arrays(self):
         """The centered solve fits the caller's data: no shifted copy of X
         (a full mask's observed values are X itself) and no W + c."""
@@ -773,6 +799,88 @@ class TestGramObjective:
         assert not any("invalid" in message for message in caught[0])
 
 
+class TestWorkspaceProducts:
+    """A solve's Workspace forms each product of a factor once and hands it
+    back only for that same array."""
+
+    @staticmethod
+    def _count_forms(monkeypatch):
+        """The products formed from now on, as (kind, side) per product."""
+        formed = []
+        form = mc.Workspace._form
+
+        def counting(kind, side, F, x):
+            formed.append((kind, side))
+            return form(kind, side, F, x)
+
+        monkeypatch.setattr(mc.Workspace, "_form", staticmethod(counting))
+        return formed
+
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_a_pass_forms_two_products_with_x(self, monkeypatch, solver, record_trace):
+        """P passes form 2P products with X (XH^T per W block, W^TX per H
+        block, and no other) and each Gram matrix once per factor."""
+        formed = self._count_forms(monkeypatch)
+        X = _exact_or_noisy(np.random.default_rng(23), 20, 15, 3, exact=False)
+        var = ModelVariant.bssmf(BoundsVector.constant(20, 1, 5))
+        passes = 7
+        _, rep = solver(X, ObservationMask.full(20, 15), var,
+                        SolverConfig(rank=3, max_outer=passes, rel_tol=0.0, seed=1,
+                                     record_trace=record_trace))
+        assert rep.outer_iterations == passes
+        assert formed.count(("cross", "W")) == formed.count(("cross", "H")) == passes
+        assert formed.count(("gram", "W")) == formed.count(("gram", "H")) == passes + 1
+
+    def test_an_equal_copy_is_another_factor(self, monkeypatch):
+        """The held products are matched by identity: a step map given an
+        equal-valued copy of the frozen factor forms them again."""
+        rng = np.random.default_rng(24)
+        X, H = rng.uniform(size=(6, 5)), rng.uniform(size=(2, 5))
+        M = ObservationMask.full(6, 5)
+        work = mc.Workspace(M)
+        formed = self._count_forms(monkeypatch)
+        steps = [mc.step_map(X, F, M, "W", 4.0, work) for F in (H, H, H.copy())]
+        assert formed == [("gram", "W"), ("cross", "W")] * 2
+        W_bar = rng.uniform(size=(6, 2))
+        assert all(np.array_equal(step(W_bar), steps[0](W_bar)) for step in steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frozen_w_problems(), st.booleans())
+    def test_full_mask_solve_h_takes_the_gram_form(self, problem, record_trace):
+        """solve_h on a full mask ends within rel 1e-12 of the residual
+        objective at its H, with no residual objective unless the Gram form
+        declines."""
+        M, kind, config, seed = problem
+        M = ObservationMask.full(M.rows, M.cols)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(1, 5, size=(M.rows, M.cols))
+        W = rng.uniform(1, 5, size=(M.rows, config.rank))
+        var = ModelVariant.from_kind(kind, BoundsVector.constant(M.rows, 1, 5))
+        residual, gram = [], []
+        inner_objective, inner_gram = mc.objective, mc.gram_objective
+
+        def counting(*args):
+            residual.append(1)
+            return inner_objective(*args)
+
+        def recording(*args):
+            gram.append(inner_gram(*args))
+            return gram[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "objective", counting)
+            mp.setattr(mc, "gram_objective", recording)
+            H, rep = solve_h(X, M, W, var, replace(config, record_trace=record_trace))
+        assert rep.objective_trace[-1] == pytest.approx(objective(X, W, H, M), rel=1e-12,
+                                                        abs=1e-300)
+        if None not in gram:
+            assert residual == []
+        else:  # tried until it first declines, the residual form from then on
+            assert gram.index(None) == len(gram) - 1
+            assert len(gram) + len(residual) == len(rep.objective_trace) + 1
+
+
 class TestPredict:
     def test_vertex_selection(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -884,11 +992,11 @@ class TestInnerStep:
                 solve_centered(X, M, var, cfg)
             for F_old in (W_old, W):  # a previous iterate, or F itself
                 update_W_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
-            if not sparse:  # X H^T handed in, as the solve hands it on from its objective
-                cross = X @ H.T
-                cross.flags.writeable = False
-                update_W_block(X, W, H, M, var, _BlockState(10.0), W_old, 3, True,
-                               cross=cross)
+            if not sparse:  # H H^T and X H^T held read-only, as a solve's objective leaves them
+                work = mc.Workspace(M)
+                for held in (work.product("gram", "W", H), work.product("cross", "W", H, X)):
+                    held.flags.writeable = False
+                update_W_block(X, W, H, M, var, _BlockState(10.0), W_old, 3, True, work)
             for F_old in (H_old, H):
                 update_H_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
             solve_h_given_w(X, M, W, var, cfg)
