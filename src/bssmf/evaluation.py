@@ -114,11 +114,21 @@ def split(dataset, spec):
     at random, and cut each test user's ratings 80/20 into known/held-out.
     Rows are the kept items and columns the users, each in increasing id order.
     Test users with no rating to hold out are skipped, as :class:`SplitSpec`
-    says, with a warning; if none is left, ValueError."""
+    says, with a warning; if none is left, ValueError, as for a
+    test_user_count below 1 or not below num_users.
+
+    One argsort of the unique key user * n_items + row orders the kept
+    ratings, so each mask gets its cells already in canonical column-major
+    order; a user -> column table gives the columns. Each usable test user's
+    known ratings are the first ceil(known_fraction * k) of a permutation of
+    its k ratings in file order, drawn in user id order.
+    """
     if dataset.users.size == 0:
         raise ValueError("empty dataset")
     if not (0 < spec.known_fraction < 1):
         raise ValueError("known_fraction must be in (0, 1)")
+    if spec.test_user_count < 1:
+        raise ValueError(f"test_user_count must be at least 1, got {spec.test_user_count}")
     if spec.test_user_count >= dataset.num_users:
         raise ValueError("test_user_count must be < num_users")
     rng = np.random.default_rng(spec.seed)
@@ -131,11 +141,12 @@ def split(dataset, spec):
     is_test = np.zeros(dataset.num_users, dtype=bool)
     is_test[rng.choice(dataset.num_users, size=spec.test_user_count, replace=False)] = True
 
-    # kept ratings grouped by user, stably: the permutations below index dataset order
+    # kept ratings by (user, row), a unique key (a dataset has no duplicate ratings), so
+    # the order is the same for any sort; `kept` holds file positions, for the permutations
+    row_of = np.cumsum(keep_item) - 1
     kept = np.flatnonzero(keep_item[dataset.items])
-    kept = kept[np.argsort(dataset.users[kept], kind="stable")]
-    users, values = dataset.users[kept], dataset.values[kept]
-    rows = (np.cumsum(keep_item) - 1)[dataset.items[kept]]
+    kept = kept[np.argsort(dataset.users[kept] * n_items + row_of[dataset.items[kept]])]
+    users, rows, values = dataset.users[kept], row_of[dataset.items[kept]], dataset.values[kept]
     per_user = np.bincount(users, minlength=dataset.num_users)
 
     train_users = np.flatnonzero((per_user > 0) & ~is_test)
@@ -154,11 +165,16 @@ def split(dataset, spec):
     known = np.zeros(users.size, dtype=bool)
     starts = np.cumsum(per_user) - per_user
     for u in usable_test:
-        known[starts[u] + rng.permutation(per_user[u])[: n_known[u]]] = True
+        s, k = starts[u], per_user[u]
+        in_file_order = s + np.argsort(kept[s:s + k])
+        known[in_file_order[rng.permutation(k)[: n_known[u]]]] = True
     held = usable[users] & ~known
+    col_of = np.zeros(dataset.num_users, dtype=np.intp)  # train and test users are disjoint
+    col_of[train_users] = np.arange(train_users.size)
+    col_of[usable_test] = np.arange(usable_test.size)
 
     def mask(sel, side_users):
-        cols = np.searchsorted(side_users, users[sel])
+        cols = col_of[users[sel]]
         return ObservationMask(n_items, side_users.size, rows[sel], cols, np.ones(cols.size),
                                values[sel])
 

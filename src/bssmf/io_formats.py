@@ -295,8 +295,8 @@ def read_movielens(path, flavor):
     out_of_range = np.count_nonzero((values < 1.0) | (values > 5.0))
     if out_of_range:
         warnings.warn(f"{path}: {out_of_range} ratings outside [1, 5] kept as-is")
-    users, user_ids = _first_seen(r["user"])
-    items, item_ids = _first_seen(r["item"])
+    users, user_ids = _first_seen(np.ascontiguousarray(r["user"]))
+    items, item_ids = _first_seen(np.ascontiguousarray(r["item"]))
     user_map = dict(zip(map(str, user_ids.tolist()), range(user_ids.size)))
     item_map = dict(zip(map(str, item_ids.tolist()), range(item_ids.size)))
     try:

@@ -406,6 +406,16 @@ class TestComplete:
         assert "a sweep needs at least one seed, got none" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
 
+    def test_zero_test_users_exit(self, tmp_path, capsys):
+        p = tmp_path / "u.data"
+        p.write_text("".join(f"{u}\t{i}\t{1 + (u + i) % 5}\t0\n"
+                             for u in range(1, 9) for i in range(1, 6)))
+        code = main(["complete", "--ratings", str(p), "--flavor", "tsv", "--rank", "1",
+                     "--split-test-users", "0", "--out", str(tmp_path / "eval.csv")])
+        assert code == EXIT_CONFIG == 2
+        assert "test_user_count must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
     def test_non_utf8_ratings_exit(self, tmp_path, capsys):
         p = tmp_path / "u.data"
         p.write_bytes(b"1\t10\t5\t0\n2\t10\t\xff\t0\n")

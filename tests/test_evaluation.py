@@ -126,6 +126,31 @@ class TestSplit:
         with pytest.raises(ValueError, match="duplicate rating for user 0, item 0"):
             RatingsDataset(2, 2, [0, 0], [0, 0], [3.0, 4.0])
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_test_user_count_below_one_rejected(self, count):
+        rng = np.random.default_rng(0)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, per_user=10)
+        with pytest.raises(ValueError, match=f"test_user_count must be at least 1, got {count}"):
+            split(ds, SplitSpec(test_user_count=count, min_ratings_per_item=1))
+
+    def test_more_users_than_ml10m_matches_the_oracle(self):
+        """70,000 users (ml-10m has 69,878) of 1-8 ratings over 30 items, in
+        random file order: each mask is the one built from the oracle's cells."""
+        rng = np.random.default_rng(5)
+        num_users, num_items = 70_000, 30
+        degree = rng.integers(1, 9, num_users)
+        users = np.repeat(np.arange(num_users), degree)
+        items = np.concatenate([rng.choice(num_items, size=k, replace=False)
+                                for k in degree.tolist()])
+        order = rng.permutation(users.size)
+        ds = RatingsDataset(num_users, num_items, users[order], items[order],
+                            rng.integers(1, 6, users.size)[order])
+        spec = SplitSpec(test_user_count=2000, min_ratings_per_item=5, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fold = split(ds, spec)
+        _assert_fold_is_reference(fold, ds, spec)
+
 
 class TestRatingsDataset:
     def test_duplicate_named_by_raw_ids(self):
@@ -229,6 +254,25 @@ def _cells(M):
     return set(zip(M.row_idx.tolist(), M.col_idx.tolist()))
 
 
+def _assert_fold_is_reference(fold, ds, spec):
+    """Each mask of fold is array-equal, dtypes included, to the
+    ObservationMask built from the oracle's cells of its side."""
+    train, test, known, _ = _reference_cells(ds, spec)
+    rows = int(np.sum(np.bincount(ds.items, minlength=ds.num_items)
+                      >= spec.min_ratings_per_item))
+    test_cols = 1 + max(j for _, j in test)  # each usable test user has a cell
+    sides = ((fold.M_train, train, 1 + max(j for _, j in train)),
+             (fold.M_known, {c: v for c, v in test.items() if c in known}, test_cols),
+             (fold.M_heldout, {c: v for c, v in test.items() if c not in known}, test_cols))
+    for M, cells, cols in sides:
+        i, j = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+        ref = ObservationMask(rows, cols, i, j, np.ones(i.size), list(cells.values()))
+        assert (M.rows, M.cols) == (ref.rows, ref.cols)
+        for name in ("row_idx", "col_idx", "weights", "values"):
+            got, want = getattr(M, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 class TestSplitProperties:
     @settings(max_examples=100, deadline=None)
     @given(small_datasets())
@@ -284,6 +328,14 @@ class TestSplitProperties:
         for M in (fold.M_train, fold.M_known, fold.M_heldout):
             assert np.all(M.values >= 1)
             assert np.array_equal(M.weights, np.ones(M.nnz))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_datasets())
+    def test_masks_equal_those_built_from_the_oracle_cells(self, case):
+        ds, spec = case
+        fold = _split_or_none(ds, spec)
+        if fold is not None:
+            _assert_fold_is_reference(fold, ds, spec)
 
     @settings(max_examples=50, deadline=None)
     @given(small_datasets())

@@ -138,6 +138,26 @@ class TestProjectBox:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             project_box(np.ones((3, 2)), BoundsVector.constant(4, 0, 1))
+        with pytest.raises(ShapeError, match="m x r"):
+            project_box(np.ones(4), BoundsVector.constant(4, 0, 1))
+
+    def test_one_bounds_at_changing_ranks(self):
+        # the m x r bounds kept for one rank must not serve another
+        rng = np.random.default_rng(2)
+        lower = rng.uniform(-2, 0, 6)
+        b = BoundsVector(lower, lower + 1.5)
+        for r in (3, 5, 3, 1):
+            V = rng.standard_normal((6, r)) * 3
+            assert np.array_equal(project_box(V, b), np.clip(V, b.lower[:, None],
+                                                             b.upper[:, None]))
+
+    def test_bounds_are_read_only_copies(self):
+        lower, upper = np.zeros(3), np.ones(3)
+        b = BoundsVector(lower, upper)
+        lower[0], upper[0] = 5.0, 9.0
+        assert np.array_equal(b.lower, np.zeros(3)) and np.array_equal(b.upper, np.ones(3))
+        with pytest.raises(ValueError, match="read-only"):
+            b.lower[0] = 0.5
 
 
 class TestSimplexProjection:
