@@ -3,13 +3,15 @@
 Every run prints its resolved configuration before starting, writes CSV
 artifacts only, and uses disjoint exit codes: 0 success, 1 numerical failure,
 2 configuration error, 3 I/O error, 10 scatteredness check failed,
-11 synthetic regeneration exhausted. Commands raise and :func:`main` picks
-the code: OSError or io_formats.DataFormatError 3, FloatingPointError (a
-solve that stops "diverged") 1, any other ValueError (ConfigError,
-ShapeError) 2. Only the ``factorize`` solve (1 for a ValueError other than
-ConfigError) and ``synth`` (11 for a RuntimeError) decide locally, and checks
-that raise nothing return their code. Each failure prints one ``error:``
-line to stderr.
+11 synthetic regeneration exhausted. Commands raise on every failure, and
+:func:`main` alone turns the exception into 1, 2 or 3: OSError or
+io_formats.DataFormatError 3; FloatingPointError 1, which a solve that stops
+"diverged" raises through SolveReport.raise_if_diverged, and so does NaN or
+inf data (matrixcore.NonFiniteDataError, also a ValueError); any other
+ValueError (ConfigError, ShapeError) 2. The codes 10 and 11 are verdicts,
+not failures: ``check-ssc`` returns 10 when the check fails, and ``synth``
+returns 11 when generate_synthetic raises RuntimeError. Each failure prints
+one ``error:`` line to stderr.
 """
 
 import argparse
@@ -72,35 +74,23 @@ def _print_config(name, ns):
 
 def cmd_factorize(args):
     if args.seed_sweep < 1:
-        return _fail(EXIT_CONFIG, f"--seed-sweep must be at least 1, got {args.seed_sweep}")
+        raise ValueError(f"--seed-sweep must be at least 1, got {args.seed_sweep}")
     X, M = _load_matrix(args.input)
-    # before bounds inference, which would report NaN data as bad bounds
-    if not np.all(np.isfinite(M.observed(X))):
-        return _fail(EXIT_NUMERICAL, "X has a non-finite (NaN or inf) observed entry")
     bounds = _parse_bounds(args.bounds, X, M)
     variant = sv.ModelVariant.from_kind(args.variant, bounds)
-    try:
-        seeds = range(args.seed, args.seed + args.seed_sweep)
-        best = None
-        for seed in seeds:
-            config = sv.SolverConfig(
-                rank=args.rank, max_outer=args.outer, max_inner_W=args.inner_w,
-                max_inner_H=args.inner_h, rel_tol=args.rel_tol,
-                extrapolate=not args.no_extrapolation, center=args.center, seed=seed,
-            )
-            factors, report = sv.solve(X, M, variant, config)
-            if report.stop_reason == "diverged":
-                raise FloatingPointError(f"solve diverged with seed {seed}: a step constant or "
-                                         f"the objective overflowed after "
-                                         f"{report.outer_iterations} outer iterations")
-            final = report.objective_trace[-1]
-            if best is None or final < best[2]:
-                best = (factors, report, final, config)
-        factors, report, final, config = best
-    except sv.ConfigError:
-        raise  # a configuration error, for main
-    except ValueError as e:
-        return _fail(EXIT_NUMERICAL, e)
+    best = None
+    for seed in range(args.seed, args.seed + args.seed_sweep):
+        config = sv.SolverConfig(
+            rank=args.rank, max_outer=args.outer, max_inner_W=args.inner_w,
+            max_inner_H=args.inner_h, rel_tol=args.rel_tol,
+            extrapolate=not args.no_extrapolation, center=args.center, seed=seed,
+        )
+        factors, report = sv.solve(X, M, variant, config)
+        report.raise_if_diverged(f"with seed {seed}")
+        final = report.objective_trace[-1]
+        if best is None or final < best[2]:
+            best = (factors, report, final, config)
+    factors, report, final, config = best
     iof.write_factors(args.out_prefix, factors, report, config, variant, bounds)
     print(f"final objective {final:.6g} after {report.outer_iterations} outer iterations")
     return EXIT_OK
@@ -168,7 +158,7 @@ def cmd_synth(args):
     except RuntimeError as e:
         return _fail(EXIT_SYNTH_EXHAUSTED, e)
     if not np.allclose(X, W @ H):
-        return _fail(EXIT_NUMERICAL, "generated X differs from W @ H")
+        raise FloatingPointError("generated X differs from W @ H")
     iof.write_dense_csv(args.out_prefix + "X.csv", X)
     iof.write_dense_csv(args.out_prefix + "Wtrue.csv", W)
     iof.write_dense_csv(args.out_prefix + "Htrue.csv", H)
@@ -178,7 +168,7 @@ def cmd_synth(args):
 
 def cmd_center_demo(args):
     if args.seeds < 1:
-        return _fail(EXIT_CONFIG, f"--seeds must be at least 1, got {args.seeds}")
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     X, M = _load_matrix(args.input)
     bounds = prep.infer_bounds(X, M)
     offset = float(np.mean((bounds.upper - bounds.lower) / 2.0))
@@ -197,9 +187,7 @@ def cmd_center_demo(args):
                     seed=seed,
                 )
                 _, rep = sv.solve(Xm, M, sv.ModelVariant.bssmf(bm), config)
-                if rep.stop_reason == "diverged":
-                    raise FloatingPointError(f"solve diverged in scenario {mode}_{label} with "
-                                             f"seed {seed} after {rep.outer_iterations} passes")
+                rep.raise_if_diverged(f"in scenario {mode}_{label} with seed {seed}")
                 traces.append(rep.objective_trace)
             series[f"{mode}_{label}"] = np.mean([t[: args.outer + 1] for t in traces], axis=0)
     cols = list(series)  # plain, centered, uneven; alg1 before bcd in each

@@ -115,7 +115,8 @@ def split(dataset, spec):
     Rows are the kept items and columns the users, each in increasing id order.
     Test users with no rating to hold out are skipped, as :class:`SplitSpec`
     says, with a warning; if none is left, ValueError, as for a
-    test_user_count below 1 or not below num_users.
+    test_user_count below 1 or not below num_users, or a seed that is not a
+    non-negative integer.
 
     One argsort of the unique key user * n_items + row orders the kept
     ratings, so each mask gets its cells already in canonical column-major
@@ -131,6 +132,8 @@ def split(dataset, spec):
         raise ValueError(f"test_user_count must be at least 1, got {spec.test_user_count}")
     if spec.test_user_count >= dataset.num_users:
         raise ValueError("test_user_count must be < num_users")
+    if not (isinstance(spec.seed, (int, np.integer)) and spec.seed >= 0):
+        raise ValueError(f"split seed must be a non-negative integer, got {spec.seed!r}")
     rng = np.random.default_rng(spec.seed)
 
     item_counts = np.bincount(dataset.items, minlength=dataset.num_items)
@@ -195,18 +198,13 @@ def rmse(predictions, truths):
     return float(np.sqrt(np.mean((predictions - truths) ** 2)))
 
 
-def _raise_if_diverged(report, fit, kind, config):
-    if report.stop_reason == "diverged":
-        raise FloatingPointError(f"{kind} {fit} solve diverged at rank {config.rank} with "
-                                 f"seed {config.seed} after {report.outer_iterations} passes")
-
-
 def solve_h_given_w(X, M, W, variant, config):
     """Fit only H against a frozen W (test-time adaptation) by :func:`solver.solve_h`,
     which takes X and raises as :func:`solver.solve` does; FloatingPointError
     when the fit stops "diverged"."""
     H, report = sv.solve_h(X, M, W, variant, config)
-    _raise_if_diverged(report, "adaptation", variant.kind, config)
+    report.raise_if_diverged(f"at rank {config.rank} with seed {config.seed}",
+                             f"{variant.kind} adaptation solve")
     return H
 
 
@@ -225,7 +223,8 @@ def evaluate_fold(fold, variant_kind, config, value_range=(1.0, 5.0)):
     variant = sv.ModelVariant.from_kind(
         variant_kind, BoundsVector.constant(fold.num_items, *value_range))
     factors, report = sv.solve(fold.M_train.values, fold.M_train, variant, config)
-    _raise_if_diverged(report, "training", variant_kind, config)
+    report.raise_if_diverged(f"at rank {config.rank} with seed {config.seed}",
+                             f"{variant_kind} training solve")
     W = factors.W
     H_test = solve_h_given_w(fold.M_known.values, fold.M_known, W, variant, config)
     bounds = variant.bounds if variant_kind == sv.BSSMF else None

@@ -5,6 +5,7 @@ ground-truth generation.
 Column matching solves its r x r assignment with :func:`_assignment`, an
 exact Kuhn-Munkres routine in numpy, so this module needs no scipy."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,11 @@ class SSCReport:
 
 def ssc_necessary_check(H, tol_zero=1e-9, matrix_role="H"):
     """Necessary condition for sufficient scatteredness of an r x n matrix:
-    every row needs >= r-1 (numerical) zeros whose columns have rank r-1."""
+    every row needs >= r-1 (numerical) zeros whose columns have rank r-1.
+    An entry is a zero within tol_zero times max|H| (1 for a zero H);
+    tol_zero must be finite and >= 0."""
+    if not (math.isfinite(tol_zero) and tol_zero >= 0):
+        raise ValueError(f"tol_zero must be finite and >= 0, got {tol_zero}")
     H = np.asarray(H, dtype=np.float64)
     r, n = H.shape
     if r < 2:

@@ -74,6 +74,15 @@ class ShapeError(ValueError):
     """Raised when matrix dimensions are incompatible."""
 
 
+class NonFiniteDataError(ValueError, FloatingPointError):
+    """Raised when X has a NaN or infinite observed entry: bad input, so a
+    ValueError, and a numerical failure, so a FloatingPointError, which the
+    CLI reports with exit code 1."""
+
+    def __init__(self):
+        super().__init__("X has a non-finite (NaN or inf) observed entry")
+
+
 class DuplicateCellError(ValueError):
     """Raised when a mask lists a cell twice; row and col are 0-based."""
 
@@ -501,8 +510,18 @@ def gradient_H(X, W, H, M):
 
 
 def spectral_norm(A):
-    """Largest eigenvalue of a symmetric PSD matrix (0 for the zero matrix)."""
+    """Largest eigenvalue of a symmetric PSD matrix (0 for the zero matrix).
+
+    Raises no LinAlgError on a matrix with an inf or NaN entry: where LAPACK
+    does not converge on one, the value is NaN, so a solve reads an
+    overflowed Gram matrix as a non-finite step constant."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"spectral_norm needs a square matrix, got {A.shape}")
-    return max(float(np.linalg.eigvalsh(A)[-1]), 0.0)
+    try:
+        top = float(np.linalg.eigvalsh(A)[-1])
+    except np.linalg.LinAlgError:
+        if np.all(np.isfinite(A)):
+            raise
+        return math.nan
+    return max(top, 0.0)

@@ -2,19 +2,22 @@
 
 import numpy as np
 
-from .matrixcore import ObservationMask, ShapeError
+from .matrixcore import NonFiniteDataError, ObservationMask, ShapeError
 from .projections import BoundsVector
 
 
 def infer_bounds(X, M=None):
     """Tightest data-consistent per-row bounds: observed min/max of each row.
-    X is the data or, with a sparse mask M, its observed values."""
+    X is the data or, with a sparse mask M, its observed values. A NaN or inf
+    observed entry raises NonFiniteDataError, as a solve does."""
     X = np.asarray(X, dtype=np.float64)
     M = ObservationMask.full(*X.shape) if M is None else M
     lo, hi = M.row_extrema(X)
     empty = np.flatnonzero(lo > hi)
     if empty.size:
         raise ValueError(f"row {int(empty[0])} has no observed entries; cannot infer bounds")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):  # a NaN entry gives NaN
+        raise NonFiniteDataError()
     return BoundsVector(lo, hi)
 
 

@@ -89,13 +89,15 @@ class SolverConfig:
     record_trace: bool = True
 
     def validate(self, m, n):
-        """Check the caps, rel_tol and, unless m is None (a frozen W), the rank."""
+        """Check the caps, rel_tol, seed and, unless m is None (a frozen W), the rank."""
         if m is not None and not (1 <= self.rank <= min(m, n)):
             raise ConfigError(f"rank must be in [1, {min(m, n)}], got {self.rank}")
         if self.max_outer < 1 or self.max_inner_W < 1 or self.max_inner_H < 1:
             raise ConfigError("iteration caps must be >= 1")
-        if self.rel_tol < 0:
-            raise ConfigError("rel_tol must be >= 0")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ConfigError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -111,6 +113,13 @@ class SolveReport:
     lipschitz_trace: list = field(default_factory=list)
     wall_time: float = 0.0
     stop_reason: str = "max_iters"  # or "tol_reached", "diverged"
+
+    def raise_if_diverged(self, context, fit="solve"):
+        """Raise FloatingPointError, "<fit> diverged <context> after <n>
+        passes", if the solve stopped "diverged"."""
+        if self.stop_reason == "diverged":
+            raise FloatingPointError(f"{fit} diverged {context} after "
+                                     f"{self.outer_iterations} passes")
 
 
 def initialize(M, variant, config, W=None):
@@ -135,8 +144,8 @@ def _slack(bound):
 
 
 def _check_observed(X, M, bounds=None, center=False):
-    """Raise on a non-finite observed entry of X; warn if one lies outside
-    bounds by more than the rounding slack of :func:`_slack`.
+    """Raise NonFiniteDataError on a non-finite observed entry of X; warn if
+    one lies outside bounds by more than the rounding slack of :func:`_slack`.
 
     Returns (floor, c, sum_sq): c the observed mean if center is set, else
     0; floor that of L_W and L_H, 1e-12 times the mean square of X - c over
@@ -151,7 +160,7 @@ def _check_observed(X, M, bounds=None, center=False):
     """
     total, sum_sq, lo, hi = M.sweep(X, extrema=bounds is not None, total=center)
     if not math.isfinite(sum_sq) and not np.all(np.isfinite(M.observed(X))):
-        raise ValueError("X has a non-finite (NaN or inf) observed entry")
+        raise mc.NonFiniteDataError()
     if bounds is not None:
         a, b = bounds.lower, bounds.upper
         if np.any(lo < a - _slack(a)) or np.any(hi > b + _slack(b)):
@@ -233,10 +242,14 @@ def solve(X, M, variant, config):
     in the Gram form on a full mask until that form declines near an exact
     fit) take the products of the factors from it, so each is formed once.
 
-    After each outer pass the step constants L_W, L_H and the objective, when
-    computed, must be finite. If one is not (finite data whose squares
-    overflow), the solve stops with stop_reason "diverged" and returns the
-    iterate before that pass; outer_iterations counts the finite passes.
+    The starting step constants, and after each outer pass the step
+    constants L_W, L_H and the objective, when computed, must be finite. If
+    one is not (finite data whose squares overflow), the solve stops with
+    stop_reason "diverged" and returns the iterate before that pass, the
+    start for the starting constants; outer_iterations counts the finite
+    passes. The starting objective is not checked: a fit can go on from an
+    infinite one. :meth:`SolveReport.raise_if_diverged` turns the stop into
+    FloatingPointError.
     """
     return _solve(X, M, variant, config)
 
@@ -292,6 +305,8 @@ def _solve(X, M, variant, config, W=None):
     every_pass = config.record_trace or config.rel_tol > 0
     trace = [work.objective(x, W, H, M, sum_sq)]
     ltrace, stop, outer = [], "max_iters", 0
+    if not all(map(math.isfinite, (state.L for state in states))):  # no pass can be finite
+        passes, stop = 0, "diverged"
     for outer in range(1, passes + 1):
         W_prev, H_prev = W, H
         if not frozen:

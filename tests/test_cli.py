@@ -301,6 +301,19 @@ class TestCenterDemo:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_nonfinite_entry_exit(self, monkeypatch, tmp_path, capsys):
+        # infer_bounds reports the data, as the solve would, not "bounds must not contain NaN"
+        X = EXAMPLE_X / 4.0
+        X[2, 3] = np.nan
+        monkeypatch.setattr(cli, "_load_matrix",
+                            lambda path: (X, cli.ObservationMask.full(*X.shape)))
+        out = tmp_path / "demo.csv"
+        assert main(["center-demo", "--input", "X.csv", "--rank", "2", "--seeds", "1",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert ("error: X has a non-finite (NaN or inf) observed entry"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_seeds_exit(self, tmp_path, capsys, example_csv):
         out = tmp_path / "demo.csv"
         code = main(["center-demo", "--input", example_csv, "--rank", "2",

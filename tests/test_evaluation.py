@@ -133,6 +133,14 @@ class TestSplit:
         with pytest.raises(ValueError, match=f"test_user_count must be at least 1, got {count}"):
             split(ds, SplitSpec(test_user_count=count, min_ratings_per_item=1))
 
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        rng = np.random.default_rng(0)
+        ds, _, _ = synthetic_ratings(rng, num_users=20, per_user=10)
+        with pytest.raises(ValueError, match=f"split seed must be a non-negative integer, "
+                                             f"got {seed}"):
+            split(ds, SplitSpec(test_user_count=2, min_ratings_per_item=1, seed=seed))
+
     def test_more_users_than_ml10m_matches_the_oracle(self):
         """70,000 users (ml-10m has 69,878) of 1-8 ratings over 30 items, in
         random file order: each mask is the one built from the oracle's cells."""

@@ -29,6 +29,12 @@ class TestSSCNecessaryCheck:
     def test_identity_passes(self):
         assert ssc_necessary_check(np.eye(4)).overall_pass
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a NaN threshold finds no zeros, so the identity would fail the check
+        with pytest.raises(ValueError, match=f"tol_zero must be finite and >= 0, got {tol}"):
+            ssc_necessary_check(np.eye(3), tol)
+
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
             ssc_necessary_check(np.ones((1, 5)))

@@ -165,6 +165,13 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entry_gives_no_finite_norm(self, n, bad):
+        # LAPACK does not converge on an all-inf Gram matrix of order 3 or more
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(spectral_norm(np.full((n, n), bad)))
+
 
 class TestMask:
     def test_duplicate_rejected(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bssmf.matrixcore import ObservationMask, ShapeError
+from bssmf.matrixcore import NonFiniteDataError, ObservationMask, ShapeError
 from bssmf.preprocessing import infer_bounds, rescale_rows_to_unit, unrescale_rows
 from bssmf.projections import BoundsVector, project_simplex_columns
 
@@ -35,6 +35,18 @@ class TestInferBounds:
         M = ObservationMask(2, 2, [0], [0], [1.0])
         with pytest.raises(ValueError, match="row 1"):
             infer_bounds(X, M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_nonfinite_entry_is_the_solves_error(self, bad, full):
+        # not "bounds must not contain NaN": the data is at fault, not the bounds
+        X = np.full((3, 4), 0.5)
+        X[1, 2] = bad
+        M = ObservationMask.full(3, 4) if full else ObservationMask(3, 4, [0, 1, 2], [0, 2, 3],
+                                                                     np.ones(3))
+        with pytest.raises(NonFiniteDataError, match="non-finite") as info:
+            infer_bounds(X, M)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, FloatingPointError)
 
     def test_bounds_contain_observed(self):
         rng = np.random.default_rng(0)

@@ -18,6 +18,7 @@ from bssmf import (
     solve_centered,
 )
 import bssmf.matrixcore as mc
+import bssmf.solver as sv
 from bssmf.evaluation import solve_h_given_w
 from bssmf.identifiability import SyntheticSpec, generate_synthetic
 from bssmf.matrixcore import objective
@@ -187,6 +188,21 @@ class TestSolve:
         with pytest.raises(ConfigError):
             solve(X, ObservationMask.full(3, 3), var, SolverConfig(rank=4))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("rel_tol", np.nan, "rel_tol must be finite and >= 0, got nan"),
+        ("rel_tol", np.inf, "rel_tol must be finite and >= 0, got inf"),
+        ("rel_tol", -1e-6, "rel_tol must be finite and >= 0, got -1e-06"),
+    ])
+    def test_config_value_named_in_its_error(self, field, value, message):
+        config = replace(SolverConfig(rank=2), **{field: value})
+        var = ModelVariant.mf(3)
+        with pytest.raises(ConfigError, match=message):
+            solve(np.ones((3, 3)), ObservationMask.full(3, 3), var, config)
+        with pytest.raises(ConfigError, match=message):
+            solve_h(np.ones((3, 3)), ObservationMask.full(3, 3), np.ones((3, 2)), var, config)
+
     def test_empty_mask_returns_init(self):
         X = np.ones((4, 4))
         var = ModelVariant.nmf(4)
@@ -254,6 +270,35 @@ class TestSolve:
             f, report = solver(X, M, var, SolverConfig(rank=2, max_outer=2, seed=0))
         assert report.stop_reason == "diverged"
         assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H)) and feasible(f, var)
+
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("solver", [solve, solve_centered])
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_overflowed_start_stops_before_the_first_pass(self, monkeypatch, full, solver,
+                                                          rank):
+        # entries near 1e154: W^T W overflows at the start, and from rank 3 on
+        # LAPACK does not converge on it. The solve returns its start,
+        # "diverged" after 0 passes, and raises no LinAlgError.
+        def no_pass(*args):
+            raise AssertionError("a pass ran from a non-finite step constant")
+
+        monkeypatch.setattr(sv, "update_H_block", no_pass)
+        X = np.random.default_rng(0).uniform(0.5, 1.5, size=(5, 5)) * 1e154
+        M = (ObservationMask.full(5, 5) if full
+             else ObservationMask(5, 5, *np.nonzero(np.eye(5) == 0), np.ones(20)))
+        var = ModelVariant.bssmf(BoundsVector.constant(5, 0, 2e154))
+        config = SolverConfig(rank=rank, max_outer=3, seed=0)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            f, report = solver(X, M, var, config)
+        assert (report.stop_reason, report.outer_iterations) == ("diverged", 0)
+        assert report.lipschitz_trace == []
+        start = initialize(M, var, config)
+        assert np.array_equal(f.W, start.W) and np.array_equal(f.H, start.H)
+        assert np.all(np.isfinite(f.W)) and np.all(np.isfinite(f.H)) and feasible(f, var)
+        with pytest.raises(FloatingPointError,
+                           match="^solve diverged with seed 0 after 0 passes$"):
+            report.raise_if_diverged("with seed 0")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 7, 11])  # in the first, a middle and the last block
