@@ -39,7 +39,7 @@ def ssc_necessary_check(H, tol_zero=1e-9, matrix_role="H"):
     r, n = H.shape
     if r < 2:
         raise ValueError("scatteredness check needs rank r >= 2")
-    scale = np.max(np.abs(H))
+    scale = float(np.max(np.abs(H)))  # a Python product overflows to inf quietly
     thresh = tol_zero * (scale if scale > 0 else 1.0)
     per_row = []
     for k in range(r):

@@ -334,7 +334,7 @@ def config_hash(config):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def write_factors(prefix, factors, report, config=None, variant=None, bounds=None):
+def write_factors(prefix, factors, report, config, variant, bounds):
     """Emit <prefix>W.csv, <prefix>H.csv, <prefix>trace.csv, <prefix>meta.json.
 
     A report made with record_trace off keeps only the first and last
@@ -358,13 +358,10 @@ def write_factors(prefix, factors, report, config=None, variant=None, bounds=Non
         "stop_reason": report.stop_reason,
         "wall_time_s": report.wall_time,
         "final_objective": report.objective_trace[-1],
+        "rank": config.rank, "seed": config.seed, "extrapolate": config.extrapolate,
+        "center": config.center, "config_hash": config_hash(config), "variant": variant.kind,
     }
-    if config is not None:
-        meta.update(rank=config.rank, seed=config.seed, extrapolate=config.extrapolate,
-                    center=config.center, config_hash=config_hash(config))
-    if variant is not None:
-        meta["variant"] = variant.kind
-    if bounds is not None and bounds.is_finite:
+    if bounds.is_finite:  # nmf and mf bounds are not
         meta["bounds_lower"] = bounds.lower.tolist()
         meta["bounds_upper"] = bounds.upper.tolist()
     with open(f"{prefix}meta.json", "w", encoding="utf-8") as f:

@@ -21,11 +21,11 @@ What is fixed for a solve, a block or a call is built once for it:
 
 - per mask, which is shared data: the cells in canonical order, their
   weights and, for sparse data, their observed values;
-- per solve: a :class:`Workspace`. On every mask it holds the last products
-  of each frozen factor, the Gram matrix (HH^T on the W side, W^TW on the H
-  side) and the product with X (XH^T or W^TX), each with the arrays it was
-  formed from, and hands one back only to a call with those same arrays. So
-  a solve forms each product once: the step constant, the steps of a block
+- per solve: a :class:`Workspace` of X, the mask and ||x||^2, from which its
+  kernels read the data. It holds the last products of each frozen factor,
+  the Gram matrix (HH^T on the W side, W^TW on the H side) and the product
+  with X (XH^T or W^TX), and hands one back only for that same factor. So a
+  solve forms each product once: the step constant, the steps of a block
   and the objective share it. For a sparse mask it also holds the block plan
   of the product at the cells, the CSC residual, its CSR transpose over the
   same values, the block buffer and the squared weights unless every weight
@@ -38,9 +38,10 @@ What is fixed for a solve, a block or a call is built once for it:
   one O(mr^2) or O(nr^2) product and one sum. For a sparse mask it is the
   gradient at the cells in the workspace, divided by L and subtracted.
 
-One kernel, :func:`_misfit`, forms the unweighted WH - x at the observed
-cells; the objective, the gradients and :func:`masked_residual` each apply
-the weights to it, and build a workspace when they are given none.
+:func:`_misfit` forms the unweighted WH - x at the observed cells, and
+:func:`_gradient` both block gradients, on a workspace's data. The public
+kernels take (X, W, H, M) and build a workspace; :func:`objective` also
+takes a solve's, and refuses one of another mask or other data.
 
 :func:`objective` forms the residual: for a full mask it forms WH once and
 subtracts and squares in that buffer, so each evaluation allocates one m x n
@@ -270,17 +271,18 @@ def _check_dims(W, H, M):
 
 
 class Workspace:
-    """What the kernels of one solve keep between calls.
+    """The data of one solve, which its kernels read, and what they keep
+    between calls: the mask ``M``, the observed values ``x`` of X and
+    ``sum_sq`` = ||x||^2 (None leaves a full mask to the residual objective).
 
     On every mask, the last products of each frozen factor F:
     ``product("gram", side, F)`` is HH^T on side "W" (F = H) and W^TW on side
-    "H" (F = W), and ``product("cross", side, F, x)`` is XH^T or W^TX, from the
-    full data x. Each is held with the arrays it was formed from and handed
-    back only to a call with those same arrays (``is``, not equality); any
-    other call forms a new one and holds it instead. That is sound because a
-    solve never writes a factor or the data in place (see
-    ``solver._block_step``), and a held array cannot be freed and its id
-    reused.
+    "H" (F = W), and ``product("cross", side, F)`` is xH^T or W^Tx. Each is
+    held with the factor it was formed from and handed back only to a call
+    with that same array (``is``, not equality); any other call forms a new
+    one and holds it instead. That is sound because a solve never writes a
+    factor or the data in place (see ``solver._block_step``), and a held
+    array cannot be freed and its id reused.
 
     For a sparse mask, also what the kernels derive from the mask's cells:
     the block ``plan`` of the product, the CSC residual ``R``, its CSR
@@ -290,9 +292,10 @@ class Workspace:
     the mask, which callers share, keeps none. For a full mask these fields
     are None."""
 
-    def __init__(self, M):
-        self._gram_form = M.is_full
-        self._held = {}  # (kind, side) -> (F, x, product)
+    def __init__(self, X, M, sum_sq=None):
+        self.M, self.x, self.sum_sq = M, M.observed(np.asarray(X)), sum_sq
+        self._gram_form = M.is_full and sum_sq is not None
+        self._held = {}  # (kind, side) -> (F, product)
         self.plan = self.R = self.Rt = self.buf = self.w2 = None
         if M.is_full:
             return
@@ -305,13 +308,13 @@ class Workspace:
         self.buf = np.empty(self.plan.buffer_size)
         self.w2 = None if np.all(M.weights == 1.0) else M.weights**2
 
-    def product(self, kind, side, F, x=None):
-        """The held product of kind "gram" or "cross" on side of F (and x),
-        formed now if none is held for these arrays. Never write it."""
+    def product(self, kind, side, F):
+        """The held product of kind "gram" or "cross" on side of F, formed now
+        if none is held for this array. Never write it."""
         held = self._held.get((kind, side))
-        if held is None or held[0] is not F or held[1] is not x:
-            held = self._held[kind, side] = (F, x, self._form(kind, side, F, x))
-        return held[2]
+        if held is None or held[0] is not F:
+            held = self._held[kind, side] = (F, self._form(kind, side, F, self.x))
+        return held[1]
 
     @staticmethod
     def _form(kind, side, F, x):
@@ -319,33 +322,34 @@ class Workspace:
             return F @ F.T if side == "W" else F.T @ F
         return x @ F.T if side == "W" else F.T @ x
 
-    def objective(self, x, W, H, M, sum_sq):
-        """The objective at (W, H) of the solve of x, with sum_sq = ||x||^2.
+    def objective(self, W, H):
+        """The objective at (W, H).
 
-        While :func:`gram_objective` accepts, and only on a full mask, it is
-        the Gram form: after an H block from <W^TX, H>, with the W^TX that
-        block formed, else from <W, XH^T>, forming the XH^T that the next W
-        block takes. From the first time it declines, it is the module's
-        :func:`objective`.
+        While :func:`gram_objective` accepts, and only on a full mask with
+        sum_sq, it is the Gram form: after an H block from <W^TX, H>, with
+        the W^TX that block formed, else from <W, XH^T>, forming the XH^T that
+        the next W block takes. From the first time it declines, it is the
+        module's :func:`objective`.
         """
         if self._gram_form:
             grams = self.product("gram", "H", W), self.product("gram", "W", H)
             held = self._held.get(("cross", "H"))
-            if held is not None and held[0] is W and held[1] is x:  # after an H block
-                f = gram_objective(sum_sq, H, held[2], *grams)
+            if held is not None and held[0] is W:  # after an H block
+                f = gram_objective(self.sum_sq, H, held[1], *grams)
             else:
-                f = gram_objective(sum_sq, W, self.product("cross", "W", H, x), *grams)
+                f = gram_objective(self.sum_sq, W, self.product("cross", "W", H), *grams)
             if f is not None:
                 return f
             self._gram_form = False  # near an exact fit it would decline on every pass
-        return objective(x, W, H, M, self)  # the module's residual objective
+        return objective(self.x, W, H, self.M, self)  # the module's residual objective
 
 
-def _misfit(x, W, H, M, work):
-    """WH - x at observed cells, unweighted, from the observed values x, in
-    an array the caller may overwrite: a new m x n array for a full mask,
-    else work's residual values, in canonical order."""
-    if M.is_full:
+def _misfit(work, W, H):
+    """WH - x at observed cells, unweighted, in an array the caller may
+    overwrite: a new m x n array for a full mask, else work's residual
+    values, in canonical order."""
+    x = work.x
+    if work.M.is_full:
         R = W @ H
         return np.subtract(R, x, out=R if R.dtype == np.result_type(x, R) else None)
     R = _sampled_product(W, H, work.plan, work.R.data, work.buf)
@@ -357,8 +361,8 @@ def masked_residual(X, W, H, M):
     the CSC residual R of a new :class:`Workspace`, on the cells in canonical
     column-major order."""
     _check_dims(W, H, M)
-    work = Workspace(M)
-    R = _misfit(M.observed(X), W, H, M, work)
+    work = Workspace(X, M)
+    R = _misfit(work, W, H)
     R = np.subtract(0.0, R, out=R)  # X - WH; a zero stays +0, as x - WH gives it
     if work.w2 is not None:  # None for a full mask
         np.multiply(M.weights, R, out=R)
@@ -371,11 +375,16 @@ def objective(X, W, H, M, work=None):
     A sparse mask sums its residual vector in canonical column-major order,
     so the result does not depend on the order the cells were given in.
     The residual is squared in place, so a full mask needs one m x n buffer;
-    a sparse mask computes it in work (a new :class:`Workspace` when None).
+    a sparse mask computes it in work, a :class:`Workspace` of this X and M
+    (a new one when None; one of another mask or data raises ValueError).
     """
     _check_dims(W, H, M)
-    work = Workspace(M) if work is None else work
-    R = _misfit(M.observed(X), W, H, M, work)  # squared, so the sign is moot
+    if work is None:
+        work = Workspace(X, M)
+    elif work.M is not M or (X is not work.x and not np.array_equal(
+            M.observed(np.asarray(X)), work.x, equal_nan=True)):
+        raise ValueError("objective: the workspace was built for another mask or other data")
+    R = _misfit(work, W, H)  # squared, so the sign is moot
     if work.w2 is not None:
         R = np.multiply(M.weights, R, out=R)
     return 0.5 * float(np.sum(np.square(R, out=R), dtype=np.float64))
@@ -401,39 +410,18 @@ def gram_objective(sum_sq, F, cross, WtW, HHt):
     return f if math.isfinite(f) and f >= 1e-3 * (data + abs(fit) + model) else None
 
 
-def _frozen(X, F, M, side):
-    """The observed values of X and the shape of the free factor, after
-    checking side and the frozen factor F against the mask."""
-    if side not in ("W", "H"):
-        raise ValueError(f"side must be 'W' or 'H', got {side!r}")
-    m, n = M.rows, M.cols
-    if side == "W":
-        fits, free_shape = F.shape[1] == n, (m, F.shape[0])
-    else:
-        fits, free_shape = F.shape[0] == m, (F.shape[1], n)
-    if not fits:
-        raise ShapeError(f"incompatible shapes: frozen factor {F.shape}, mask {m}x{n}")
-    return M.observed(np.asarray(X)), free_shape
-
-
-def _checked(fn, side, free_shape):
-    """fn, refusing a free factor of another shape."""
-    def checked(A):
-        if A.shape != free_shape:
-            raise ShapeError(f"free factor {side} must be {free_shape}, got {A.shape}")
-        return fn(A)
-
-    return checked
-
-
-def _sparse_gradient(x, F, M, side, work):
-    """The sparse-mask block gradient, computed in work's buffers; each call
-    returns a new array."""
-    R, Rt = work.R, work.Rt
-    vals, w2 = R.data, work.w2
+def _gradient(work, F, side):
+    """The gradient in the free factor, F frozen, as :func:`step_map`'s sides
+    name them; each call returns a new array. A full mask takes it as
+    W(HH^T) - XH^T or (W^TW)H - W^TX from work's products, with no m x n
+    residual; a sparse one multiplies the weighted residual in work's buffers."""
+    if work.M.is_full:
+        G, C = work.product("gram", side, F), work.product("cross", side, F)
+        return (lambda W: W @ G - C) if side == "W" else (lambda H: G @ H - C)
+    R, Rt, w2 = work.R, work.Rt, work.w2
 
     def residual(W, H):  # R.data = w2 * (WH - x) at the cells
-        _misfit(x, W, H, M, work)
+        vals = _misfit(work, W, H)
         if w2 is not None:
             np.multiply(vals, w2, out=vals)
 
@@ -451,11 +439,12 @@ def _sparse_gradient(x, F, M, side, work):
     return grad
 
 
-def step_map(X, F, M, side, L, work=None):
+def step_map(work, F, side, L):
     """The inner step of one block before its projection, F_bar ->
-    F_bar - grad(F_bar)/L, with the other factor F frozen and the step
-    constant L fixed for the block. side="W": F is H and the map acts on W;
-    side="H": F is W and the map acts on H.
+    F_bar - grad(F_bar)/L, on the data of work (a :class:`Workspace`), with
+    the other factor F frozen and the step constant L fixed for the block.
+    side="W": F is H and the map acts on W; side="H": F is W and the map
+    acts on H.
 
     A full mask builds the affine map F_bar (I - G/L) + XH^T/L (side "W") or
     (I - G/L) F_bar + W^TX/L (side "H"), where G is the Gram matrix HH^T or
@@ -463,15 +452,22 @@ def step_map(X, F, M, side, L, work=None):
     holds them for F. This is F_bar - grad(F_bar)/L reassociated: a step is
     one small product and one sum. A sparse mask computes the gradient at
     the cells in work, divides it by L in place and subtracts it from F_bar
-    into the same array. Without work a new :class:`Workspace` is used.
-    Every call returns a new array and writes none of its arguments.
+    into the same array. Every call returns a new array and writes none of
+    its arguments; a free factor of another shape raises ShapeError.
     """
-    x, free_shape = _frozen(X, F, M, side)
-    work = Workspace(M) if work is None else work
-    if M.is_full:
+    if side not in ("W", "H"):
+        raise ValueError(f"side must be 'W' or 'H', got {side!r}")
+    m, n = work.M.rows, work.M.cols
+    if side == "W":
+        fits, free_shape = F.shape[1] == n, (m, F.shape[0])
+    else:
+        fits, free_shape = F.shape[0] == m, (F.shape[1], n)
+    if not fits:
+        raise ShapeError(f"incompatible shapes: frozen factor {F.shape}, mask {m}x{n}")
+    if work.M.is_full:
         G = work.product("gram", side, F)
         A = np.eye(len(G)) - G / L
-        B = work.product("cross", side, F, x) / L
+        B = work.product("cross", side, F) / L
         times_A = (lambda W: W @ A) if side == "W" else (lambda H: A @ H)
 
         def step(F_bar):
@@ -479,34 +475,33 @@ def step_map(X, F, M, side, L, work=None):
             S += B
             return S
     else:
-        grad = _sparse_gradient(x, F, M, side, work)
+        grad = _gradient(work, F, side)
 
         def step(F_bar):
             S = grad(F_bar)
             S /= L
             return np.subtract(F_bar, S, out=S)
-    return _checked(step, side, free_shape)
+
+    def checked(F_bar):
+        if F_bar.shape != free_shape:
+            raise ShapeError(f"free factor {side} must be {free_shape}, got {F_bar.shape}")
+        return step(F_bar)
+
+    return checked
 
 
 def gradient_W(X, W, H, M):
-    """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T. A full
-    mask takes it as W(HH^T) - XH^T and forms no m x n residual; a sparse
-    one multiplies the weighted residual on the mask's pattern."""
+    """Gradient of the masked objective w.r.t. W: -(MoMo(X-WH)) H^T, as
+    :func:`_gradient` takes it: W(HH^T) - XH^T for a full mask."""
     _check_dims(W, H, M)
-    x = M.observed(X)
-    if M.is_full:
-        return W @ (H @ H.T) - x @ H.T
-    return _sparse_gradient(x, H, M, "W", Workspace(M))(W)
+    return _gradient(Workspace(X, M), H, "W")(W)
 
 
 def gradient_H(X, W, H, M):
     """Gradient of the masked objective w.r.t. H: -W^T (MoMo(X-WH)), as
-    :func:`gradient_W` takes it: (W^TW)H - W^TX for a full mask."""
+    :func:`_gradient` takes it: (W^TW)H - W^TX for a full mask."""
     _check_dims(W, H, M)
-    x = M.observed(X)
-    if M.is_full:
-        return (W.T @ W) @ H - W.T @ x
-    return _sparse_gradient(x, W, M, "H", Workspace(M))(H)
+    return _gradient(Workspace(X, M), W, "H")(H)
 
 
 def spectral_norm(A):

@@ -208,17 +208,17 @@ def _block_step(F, F_old, step, project, state, n_inner, extrapolate):
     return F, F_old
 
 
-def update_W_block(X, W, H, M, variant, state, W_old, n_inner, extrapolate, work=None):
-    """n_inner steps on W with H frozen, at the step constant state.L; the
-    step's products of H come from work (a matrixcore.Workspace) when given."""
-    return _block_step(W, W_old, mc.step_map(X, H, M, "W", state.L, work),
+def update_W_block(work, W, H, variant, state, W_old, n_inner, extrapolate):
+    """n_inner steps on W with H frozen, at the step constant state.L, on the
+    data of work (a matrixcore.Workspace), which also holds the products of H."""
+    return _block_step(W, W_old, mc.step_map(work, H, "W", state.L),
                        variant.project_W, state, n_inner, extrapolate)
 
 
-def update_H_block(X, W, H, M, variant, state, H_old, n_inner, extrapolate, work=None):
-    """n_inner steps on H with W frozen, at the step constant state.L; the
-    step's products of W come from work (a matrixcore.Workspace) when given."""
-    return _block_step(H, H_old, mc.step_map(X, W, M, "H", state.L, work),
+def update_H_block(work, W, H, variant, state, H_old, n_inner, extrapolate):
+    """n_inner steps on H with W frozen, at the step constant state.L, on the
+    data of work (a matrixcore.Workspace), which also holds the products of W."""
+    return _block_step(H, H_old, mc.step_map(work, W, "H", state.L),
                        variant.project_H, state, n_inner, extrapolate)
 
 
@@ -237,10 +237,11 @@ def solve(X, M, variant, config):
 
     With rel_tol == 0 and record_trace off, only the first and last
     objectives are kept, so only those two are computed. One
-    :class:`matrixcore.Workspace` serves the whole solve: the step constants,
-    the blocks and the objectives (:meth:`matrixcore.Workspace.objective`,
-    in the Gram form on a full mask until that form declines near an exact
-    fit) take the products of the factors from it, so each is formed once.
+    :class:`matrixcore.Workspace`, built from the observed values, the mask
+    and ||x||^2, serves the whole solve: the step constants, the blocks and
+    the objectives (:meth:`matrixcore.Workspace.objective`, in the Gram form
+    on a full mask until that form declines near an exact fit) take the data
+    and the products of the factors from it, so each product is formed once.
 
     The starting step constants, and after each outer pass the step
     constants L_W, L_H and the objective, when computed, must be finite. If
@@ -248,8 +249,9 @@ def solve(X, M, variant, config):
     stop_reason "diverged" and returns the iterate before that pass, the
     start for the starting constants; outer_iterations counts the finite
     passes. The starting objective is not checked: a fit can go on from an
-    infinite one. :meth:`SolveReport.raise_if_diverged` turns the stop into
-    FloatingPointError.
+    infinite one. The solve runs with numpy's overflow warnings off, since
+    these checks catch what overflows. :meth:`SolveReport.raise_if_diverged`
+    turns the stop into FloatingPointError.
     """
     return _solve(X, M, variant, config)
 
@@ -267,11 +269,12 @@ def solve_h(X, M, W, variant, config):
     return factors.H, report
 
 
+@np.errstate(over="ignore")  # an overflowed product or objective is caught by isfinite
 def _solve(X, M, variant, config, W=None):
     """The loop of :func:`solve`; given W, that of :func:`solve_h`."""
     factors = initialize(M, variant, config, W)
     frozen = W is not None
-    x = M.observed(np.asarray(X, dtype=np.float64))  # every kernel below takes it for X
+    x = M.observed(np.asarray(X, dtype=np.float64))
     if config.center and variant.kind != BSSMF:
         raise ConfigError("centering requires the bounded simplex variant")
     if config.center and M.nnz == 0:
@@ -284,7 +287,7 @@ def _solve(X, M, variant, config, W=None):
     t0 = time.perf_counter()
     W, H = factors.W, factors.H
     W_old, H_old = W, H
-    work = mc.Workspace(M)  # the factors' products and sparse buffers, for the whole solve
+    work = mc.Workspace(x, M, sum_sq)  # the data, products and buffers of the whole solve
 
     def L_H(W):
         if c:  # the Gram matrix of W - c, formed from one array
@@ -303,21 +306,21 @@ def _solve(X, M, variant, config, W=None):
         states, passes, inner_H = (sw, sh), config.max_outer, config.max_inner_H
 
     every_pass = config.record_trace or config.rel_tol > 0
-    trace = [work.objective(x, W, H, M, sum_sq)]
+    trace = [work.objective(W, H)]
     ltrace, stop, outer = [], "max_iters", 0
     if not all(map(math.isfinite, (state.L for state in states))):  # no pass can be finite
         passes, stop = 0, "diverged"
     for outer in range(1, passes + 1):
         W_prev, H_prev = W, H
         if not frozen:
-            W, W_old = update_W_block(x, W, H, M, variant, sw, W_old, config.max_inner_W,
-                                      config.extrapolate, work)
+            W, W_old = update_W_block(work, W, H, variant, sw, W_old, config.max_inner_W,
+                                      config.extrapolate)
             sh.L = L_H(W)
-        H, H_old = update_H_block(x, W, H, M, variant, sh, H_old, inner_H,
-                                  config.extrapolate, work)
+        H, H_old = update_H_block(work, W, H, variant, sh, H_old, inner_H,
+                                  config.extrapolate)
         if not frozen:
             sw.L = L_W(H)
-        f = work.objective(x, W, H, M, sum_sq) if every_pass else 0.0
+        f = work.objective(W, H) if every_pass else 0.0
         Ls = tuple(state.L for state in states)
         if not (all(map(math.isfinite, Ls)) and math.isfinite(f)):
             # overflow: the next steps would be NaN, so keep the last finite pass
@@ -331,7 +334,7 @@ def _solve(X, M, variant, config, W=None):
                 stop = "tol_reached"
                 break
     if not every_pass:
-        trace.append(work.objective(x, W, H, M, sum_sq))
+        trace.append(work.objective(W, H))
     if not config.record_trace:
         trace, ltrace = [trace[0], trace[-1]], []
     return FactorPair(W, H), SolveReport(trace, outer, ltrace, time.perf_counter() - t0, stop)

@@ -11,6 +11,7 @@ regular file.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,21 @@ def test_exit_code_and_one_error_line(files, capsys, command, case, argv, code):
     assert "Traceback" not in err
     assert "did not converge" not in err
     assert not list(Path(files["dir"]).glob("out_*"))  # nothing written
+
+
+@pytest.mark.parametrize("command", ["factorize", "center-demo"])
+def test_overflow_prints_only_the_error_line(files, capsys, command):
+    """With numpy's default error state, the overflow case prints its one
+    ``error:`` line and no RuntimeWarning: the solve checks what overflows."""
+    argv = [command, "--input", files["big"], "--rank", "3"]
+    argv += (["--bounds", "0:2e154", "--out-prefix", files["dir"] + "/out_"]
+             if command == "factorize" else ["--out", files["dir"] + "/out_table.csv"])
+    with warnings.catch_warnings(record=True) as seen:  # a shown warning is a stderr line
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in seen] == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "bssmf" / "cli.py"

@@ -531,6 +531,6 @@ class TestSolveHGivenW:
                 floor, _, _ = sv._check_observed(x, M)
                 state = sv._BlockState(max(mc.spectral_norm(W.T @ W), floor))
                 for _ in range(cfg.max_outer):
-                    H, H_old = sv.update_H_block(x, W, H, M, var, state, H_old,
+                    H, H_old = sv.update_H_block(mc.Workspace(x, M), W, H, var, state, H_old,
                                                  cfg.max_inner_H, cfg.extrapolate)
                 assert np.array_equal(solve_h_given_w(x, M, W, var, cfg), H), (kind, M.is_full)

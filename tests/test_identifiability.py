@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ class TestSSCNecessaryCheck:
         # a NaN threshold finds no zeros, so the identity would fail the check
         with pytest.raises(ValueError, match=f"tol_zero must be finite and >= 0, got {tol}"):
             ssc_necessary_check(np.eye(3), tol)
+
+    def test_huge_tolerance_makes_every_entry_a_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e308 * max|H| overflowed a numpy scalar
+            report = ssc_necessary_check(2.0 * np.eye(3), 1e308)
+        assert [row.zero_count for row in report.per_row] == [3, 3, 3]
 
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):

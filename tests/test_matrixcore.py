@@ -96,6 +96,19 @@ class TestObjective:
         H = rng.uniform(size=(2, 6))
         assert objective(X, W, H, ObservationMask.full(6, 6)) >= 0
 
+    def test_refuses_a_workspace_of_another_mask_or_data(self):
+        rng = np.random.default_rng(27)
+        X, W, H = rng.uniform(size=(3, 3)), rng.uniform(size=(3, 2)), rng.uniform(size=(2, 3))
+        M1 = ObservationMask(3, 3, [0, 1, 2], [0, 1, 2], np.ones(3))
+        M2 = ObservationMask(3, 3, [0, 1, 2], [2, 0, 1], np.ones(3))
+        with pytest.raises(ValueError, match="another mask"):
+            objective(X, W, H, M2, Workspace(X, M1))  # once summed M1's cells silently
+        for M in (M1, ObservationMask.full(3, 3)):
+            with pytest.raises(ValueError, match="other data"):
+                objective(X, W, H, M, Workspace(X + 1.0, M))
+            # the same data in another array is the same workspace's
+            assert objective(X.copy(), W, H, M, Workspace(X, M)) == objective(X, W, H, M)
+
 
 class TestGradients:
     def test_zero_at_exact_factorization(self):
@@ -380,7 +393,7 @@ class TestBlockGradient:
     def test_rejects_bad_side_and_shapes(self):
         X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
         with pytest.raises(ValueError, match="side"):
-            step_map(X, np.ones((2, 3)), M, "V", 1.0)
+            step_map(Workspace(X, M), np.ones((2, 3)), "V", 1.0)
         with pytest.raises(ShapeError):
             gradient_W(X, np.ones((4, 2)), np.ones((2, 4)), M)
         with pytest.raises(ShapeError):
@@ -514,7 +527,7 @@ class TestBlockedProduct:
     def test_empty_blocks_are_skipped(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * 4 * 2)  # two columns of a 4-row buffer
         M = ObservationMask(4, 30, [3, 0, 2], [29, 1, 1], np.ones(3))
-        assert [b[:2] for b in Workspace(M).plan.blocks] == [(0, 2), (28, 30)]
+        assert [b[:2] for b in Workspace(np.zeros(3), M).plan.blocks] == [(0, 2), (28, 30)]
         W, H = np.arange(8.0).reshape(4, 2), np.arange(60.0).reshape(2, 30)
         assert np.array_equal(product_at(W, H, [3, 0, 2], [29, 1, 1]),
                               (W @ H)[[3, 0, 2], [29, 1, 1]])
@@ -630,10 +643,10 @@ class TestStepMap:
         W_bar, H_bar = _variant_factors(kind, rng, m, n, r)
         X = W @ H + 0.1 * rng.standard_normal((m, n))
         M = ObservationMask.full(m, n)
-        work = Workspace(M) if shared else None
+        work = Workspace(X, M)
         for side, F, F_bar, G in (("W", H, W_bar, H @ H.T), ("H", W, H_bar, W.T @ W)):
             L = max(spectral_norm(G), 1e-12) * rng.uniform(1.0, 3.0)
-            step = step_map(X, F, M, side, L, work)
+            step = step_map(work if shared else Workspace(X, M), F, side, L)
             want = F_bar - _gradient(X, F, M, side, F_bar) / L
             got = step(F_bar)
             assert got.shape == want.shape
@@ -648,19 +661,19 @@ class TestStepMap:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(m, n))
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
-        work = Workspace(M)
+        work = Workspace(X, M)
         for side, F, F_bar in (("W", H, W), ("H", W, H), ("W", H + 0.5, W - 0.5)):
             want = F_bar - _gradient(X, F, M, side, F_bar) / 3.0
-            assert np.array_equal(step_map(X, F, M, side, 3.0, work)(F_bar), want)
+            assert np.array_equal(step_map(work, F, side, 3.0)(F_bar), want)
 
     def test_rejects_bad_side_and_shapes(self):
-        X, M = np.ones((4, 3)), ObservationMask.full(4, 3)
+        work = Workspace(np.ones((4, 3)), ObservationMask.full(4, 3))
         with pytest.raises(ValueError, match="side"):
-            step_map(X, np.ones((2, 3)), M, "V", 1.0)
+            step_map(work, np.ones((2, 3)), "V", 1.0)
         with pytest.raises(ShapeError):
-            step_map(X, np.ones((3, 2)), M, "H", 1.0)
+            step_map(work, np.ones((3, 2)), "H", 1.0)
         with pytest.raises(ShapeError):
-            step_map(X, np.ones((2, 3)), M, "W", 1.0)(np.ones((4, 3)))
+            step_map(work, np.ones((2, 3)), "W", 1.0)(np.ones((4, 3)))
 
 
 class TestSparseWorkspace:
@@ -674,15 +687,14 @@ class TestSparseWorkspace:
         M = ObservationMask(m, n, rows, cols, np.ones(w.size) if unit else w)
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(m, n))
-        x = M.observed(X)
-        work = Workspace(M)
+        work = Workspace(X, M)
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
         for _ in range(3):  # W block, then H block, with new frozen factors each time
-            grad = mc._sparse_gradient(x, H, M, "W", work)
+            grad = mc._gradient(work, H, "W")
             for A in (W, W + 1.0):
                 assert np.array_equal(grad(A), gradient_W(X, A, H, M))
             W = rng.uniform(size=(m, r))
-            grad = mc._sparse_gradient(x, W, M, "H", work)
+            grad = mc._gradient(work, W, "H")
             for A in (H, H + 1.0):
                 assert np.array_equal(grad(A), gradient_H(X, W, A, M))
             H = rng.uniform(size=(r, n))
@@ -693,7 +705,7 @@ class TestSparseWorkspace:
     def test_unit_weights_skip_the_multiply_bit_equal(self, problem, r):
         m, n, rows, cols, _, _, seed = problem
         M = ObservationMask(m, n, rows, cols, np.ones(rows.size))
-        assert Workspace(M).w2 is None
+        assert Workspace(np.zeros(M.nnz), M).w2 is None
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(m, n))
         W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
@@ -701,8 +713,8 @@ class TestSparseWorkspace:
                    masked_residual(X, W, H, M).toarray(), objective(X, W, H, M)]
         init = Workspace.__init__
 
-        def multiplying(work, M):  # every workspace multiplies by the squared weights
-            init(work, M)
+        def multiplying(work, X, M):  # every workspace multiplies by the squared weights
+            init(work, X, M)
             work.w2 = np.ones(M.nnz)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -719,6 +731,6 @@ class TestSparseWorkspace:
                                 "values"}
 
     def test_full_mask_needs_no_buffers(self):
-        work = Workspace(ObservationMask.full(3, 4))
+        work = Workspace(np.zeros((3, 4)), ObservationMask.full(3, 4))
         assert work.R is None and work.Rt is None and work.buf is None
         assert work.plan is None and work.w2 is None

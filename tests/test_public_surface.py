@@ -153,3 +153,34 @@ def test_only_matrixcore_tells_full_from_sparse_masks(path):
     assert path.stem == "matrixcore" or not _reads_is_full(path), (
         f"bssmf.{path.stem} reads ObservationMask.is_full: let a matrixcore kernel "
         "or the Workspace tell the two cases apart")
+
+
+def _takes_data_beside_a_workspace(path):
+    """module.function or Class.method of each function in path that takes a
+    workspace (a parameter ``work``, or ``self`` of a Workspace method other
+    than its constructor) together with the data X, x or the mask M."""
+    found = []
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    for scope in ast.walk(_tree(path)):
+        for node in scope.body if isinstance(scope, scopes) else []:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+            on_workspace = (isinstance(scope, ast.ClassDef) and scope.name == "Workspace"
+                            and node.name != "__init__" and "self" in params)
+            if ("work" in params or on_workspace) and params & {"X", "x", "M"}:
+                owner = scope.name if isinstance(scope, ast.ClassDef) else path.stem
+                found.append(f"{owner}.{node.name}")
+    return found
+
+
+@pytest.mark.parametrize("module", ["matrixcore", "solver"])
+def test_kernels_read_the_data_from_their_workspace(module):
+    # matrixcore.objective is public and takes (X, W, H, M): a solve passes its
+    # workspace there so that its residual objectives are counted under that
+    # name, and objective refuses a workspace of another mask or other data
+    allowed = {"matrixcore.objective"}
+    found = set(_takes_data_beside_a_workspace(PACKAGE / f"{module}.py")) - allowed
+    assert not found, (
+        f"{sorted(found)} take a workspace and the data beside it: read the data "
+        "from the workspace, which is built from X and M")

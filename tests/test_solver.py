@@ -156,7 +156,7 @@ class TestSolve:
         var = ModelVariant.bssmf(BoundsVector.constant(6, 0, 1))
         state = _BlockState(mc.spectral_norm(H @ H.T))
         M = ObservationMask.full(6, 5)
-        W2, _ = update_W_block(X, W, H, M, var, state, W, 1, True)
+        W2, _ = update_W_block(mc.Workspace(X, M), W, H, var, state, W, 1, True)
         assert np.allclose(W2, W, atol=1e-12)
 
     def test_bcd_matches_palm_reference(self):
@@ -883,9 +883,9 @@ class TestWorkspaceProducts:
         rng = np.random.default_rng(24)
         X, H = rng.uniform(size=(6, 5)), rng.uniform(size=(2, 5))
         M = ObservationMask.full(6, 5)
-        work = mc.Workspace(M)
+        work = mc.Workspace(X, M)
         formed = self._count_forms(monkeypatch)
-        steps = [mc.step_map(X, F, M, "W", 4.0, work) for F in (H, H, H.copy())]
+        steps = [mc.step_map(work, F, "W", 4.0) for F in (H, H, H.copy())]
         assert formed == [("gram", "W"), ("cross", "W")] * 2
         W_bar = rng.uniform(size=(6, 2))
         assert all(np.array_equal(step(W_bar), steps[0](W_bar)) for step in steps)
@@ -1036,14 +1036,14 @@ class TestInnerStep:
             if kind == "bssmf":
                 solve_centered(X, M, var, cfg)
             for F_old in (W_old, W):  # a previous iterate, or F itself
-                update_W_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
+                update_W_block(mc.Workspace(X, M), W, H, var, _BlockState(10.0), F_old, 3, True)
             if not sparse:  # H H^T and X H^T held read-only, as a solve's objective leaves them
-                work = mc.Workspace(M)
-                for held in (work.product("gram", "W", H), work.product("cross", "W", H, X)):
+                work = mc.Workspace(X, M)
+                for held in (work.product("gram", "W", H), work.product("cross", "W", H)):
                     held.flags.writeable = False
-                update_W_block(X, W, H, M, var, _BlockState(10.0), W_old, 3, True, work)
+                update_W_block(work, W, H, var, _BlockState(10.0), W_old, 3, True)
             for F_old in (H_old, H):
-                update_H_block(X, W, H, M, var, _BlockState(10.0), F_old, 3, True)
+                update_H_block(mc.Workspace(X, M), W, H, var, _BlockState(10.0), F_old, 3, True)
             solve_h_given_w(X, M, W, var, cfg)
         for A, before in zip(arrays, copies):
             assert np.array_equal(A, before)
