@@ -1,5 +1,6 @@
 """Column-wise Euclidean projections: a two-ufunc box clamp and a max-threshold simplex rule."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -92,9 +93,19 @@ def project_simplex_columns(V):
         row += below
         below = row
     S -= 1.0
-    S /= np.arange(r, 0, -1)[:, None]
-    P = V - S.max(axis=0)
+    S /= _counts(r)
+    P = V - np.maximum.reduce(S, axis=0)
     return np.maximum(P, 0.0, out=P)
+
+
+@functools.lru_cache(maxsize=16)
+def _counts(r):
+    """The read-only r x 1 float64 column (r, r-1, ..., 1): the prefix
+    lengths of S[k] in :func:`project_simplex_columns`. Cached per r, so no
+    call builds it or casts integers; the values are exact, as the cast was."""
+    counts = np.arange(r, 0, -1, dtype=np.float64)[:, None]
+    counts.flags.writeable = False
+    return counts
 
 
 def simplex_projection_oracle(v):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bssmf.matrixcore import ObservationMask
+
+# pytest --hypothesis-profile=derandomized-10x: the same examples on every
+# run, and ten times the default budget for a test that takes its budget from
+# the profile, as TestReferenceSolver in test_solver.py does; CI runs that
+# test under it
+settings.register_profile("derandomized-10x", derandomize=True,
+                          max_examples=10 * settings.default.max_examples)
 
 # the 6x6 instance with a non-unique NMF but unique bounded factorization:
 # X = W H with W^T = 3*A_{2/3}, H = 3*A_{1/3}, bounds [0, 3]

@@ -242,6 +242,32 @@ class TestCanonicalMask:
         assert objective(X, W, H, M1) == objective(X, W, H, M2)
 
     @settings(max_examples=60, deadline=None)
+    @given(masked_problems(), st.booleans())
+    def test_canonical_cells_give_the_shuffled_cells_mask_in_copies(self, problem, with_values):
+        m, n, rows, cols, w, perm, seed = problem
+        values = np.random.default_rng(seed).uniform(size=rows.size) if with_values else None
+        canon = np.argsort(cols * m + rows)
+        cells = [a[canon].copy() if a is not None else None for a in (rows, cols, w, values)]
+        M = ObservationMask(m, n, *cells)
+        shuffled = ObservationMask(m, n, *(a[perm] if a is not None else None
+                                           for a in (rows, cols, w, values)))
+        fields = ("row_idx", "col_idx", "weights", "values")
+
+        def same(A, B):
+            for name in fields:
+                a, b = getattr(A, name), getattr(B, name)
+                assert (a is None and b is None) or (
+                    np.array_equal(a, b) and a.dtype == b.dtype and a.shape == b.shape)
+
+        same(M, shuffled)
+        assert [a.dtype for a in (M.row_idx, M.col_idx, M.weights)] == [
+            np.intp, np.intp, np.float64]
+        for a in cells:  # the mask keeps no view of the caller's arrays
+            if a is not None:
+                a[...] = 0
+        same(M, shuffled)
+
+    @settings(max_examples=60, deadline=None)
     @given(masked_problems())
     def test_cells_in_column_major_order(self, problem):
         m, n, rows, cols, w, _, _ = problem
