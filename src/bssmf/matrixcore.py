@@ -32,10 +32,10 @@ What is fixed for a solve, a block or a call is built once for it:
   threads, that takes 3.5 ms where X @ H^T takes 4.3 ms, and leaves 1.6 MB
   of OpenBLAS buffer resident where X @ H^T leaves 6.5 MB. The held XH^T
   is therefore Fortran-ordered. For a sparse mask it also holds the block plan
-  of the product at the cells, the CSC residual, its CSR transpose over the
-  same values, the block buffer and the squared weights unless every weight
-  is 1. The gradients and objectives of the solve overwrite the residual and
-  the buffer, so a solve holds one set;
+  of the product at the cells, the CSC column pointers of the cells, the
+  residual values, the block buffer and the squared weights unless every
+  weight is 1. The gradients and objectives of the solve overwrite the
+  residual and the buffer, so a solve holds one set;
 - per block, while one factor is frozen: :func:`step_map` builds the inner
   step F_bar -> F_bar - grad(F_bar)/L. For a full mask that is an affine map,
   F_bar (I - G/L) + X H^T/L on the W side and (I - G/L) F_bar + W^T X/L on
@@ -65,12 +65,27 @@ Sparse data is its observed values, kept by the mask in its cell order as
 ``M.values``. A kernel takes the data X as the m x n array or, for a sparse
 mask, as those 1-D values (``M.observed(X)``); the shape is the mask's.
 
-scipy.sparse is imported when the first :class:`Workspace` of a sparse mask
-is built: its CSC residual is the one scipy object here. Building, reading,
+The two sparse gradients multiply the residual by a dense factor with
+scipy's compiled loops, csc_matvecs on the W side and csr_matvecs on the H
+side (the residual's CSR transpose has the CSC arrays), called as scipy's @
+calls them, so the products are scipy's bit for bit. :func:`_sparsetools`
+loads that one extension, scipy/sparse/_sparsetools, from its file when the
+first sparse gradient is formed; neither scipy's nor scipy.sparse's
+__init__ runs. Importing scipy.sparse loads 325 modules with scipy 1.17 and
+numpy 2.4, taking 0.15-0.23 s and 22 MB of resident memory on a 2-core host;
+the extension alone is one module. A scipy without the file raises
+ImportError, with no fallback. Only :func:`masked_residual`, whose return
+type is a scipy CSC matrix, imports scipy.sparse. Building, reading,
 splitting or checking a mask, and any full-mask run, load no scipy module.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import operator
+import os
+import sys
 
 import numpy as np
 
@@ -115,16 +130,21 @@ class ObservationMask:
 
     def __init__(self, rows, cols, row_idx=None, col_idx=None, weights=None, values=None,
                  _full=False):
+        try:
+            if isinstance(rows, bool) or isinstance(cols, bool):
+                raise TypeError
+            rows, cols = operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ShapeError(f"mask shape must be integers, got {rows!r}x{cols!r}") from None
         if rows < 1 or cols < 1:
             raise ShapeError(f"mask shape must be positive, got {rows}x{cols}")
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows, self.cols = rows, cols
         self._full = _full
         if _full:
             self.row_idx = self.col_idx = self.weights = self.values = None
             return
-        row_idx = np.asarray(row_idx if row_idx is not None else [], dtype=np.intp)
-        col_idx = np.asarray(col_idx if col_idx is not None else [], dtype=np.intp)
+        row_idx = _cell_index(row_idx if row_idx is not None else [], "mask row")
+        col_idx = _cell_index(col_idx if col_idx is not None else [], "mask col")
         weights = np.asarray(weights if weights is not None else [], dtype=np.float64)
         if not (row_idx.shape == col_idx.shape == weights.shape):
             raise ShapeError("mask index/weight arrays must have equal length")
@@ -142,17 +162,19 @@ class ObservationMask:
             self.row_idx, self.col_idx = row_idx.copy(), col_idx.copy()
             self.weights = weights.copy()
             self.values = None if values is None else np.array(values, np.float64)
-            return
-        order = np.argsort(key)
-        key = key[order]
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        if dup.size:
-            col, row = divmod(int(key[dup[0]]), rows)
-            raise DuplicateCellError(row, col)
-        self.row_idx = row_idx[order]
-        self.col_idx = col_idx[order]
-        self.weights = weights[order]
-        self.values = None if values is None else np.asarray(values, np.float64)[order]
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                col, row = divmod(int(key[dup[0]]), rows)
+                raise DuplicateCellError(row, col)
+            self.row_idx = row_idx[order]
+            self.col_idx = col_idx[order]
+            self.weights = weights[order]
+            self.values = None if values is None else np.asarray(values, np.float64)[order]
+        # the kernels index through the cells unchecked: they stay as checked here
+        self.row_idx.flags.writeable = self.col_idx.flags.writeable = False
 
     @classmethod
     def full(cls, rows, cols):
@@ -261,14 +283,24 @@ def _sampled_product(W, H, plan, out=None, buf=None):
     return out
 
 
+def _cell_index(a, what):
+    """a as a 1-D intp array, if it holds integers (or nothing); a float or
+    bool index raises ShapeError rather than naming another cell."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ShapeError(f"{what} indices must be a 1-D array, got shape {a.shape}")
+    if a.size and a.dtype.kind not in "iu":
+        raise ShapeError(f"{what} indices must be integers, got dtype {a.dtype}")
+    return a.astype(np.intp, copy=False)
+
+
 def product_at(W, H, row_idx, col_idx):
     """(WH)(i, j) evaluated only at the listed cells, in the order given."""
-    rows = np.asarray(row_idx, dtype=np.intp)
-    cols = np.asarray(col_idx, dtype=np.intp)
+    rows, cols = _cell_index(row_idx, "cell row"), _cell_index(col_idx, "cell col")
     m, n = W.shape[0], H.shape[1]
-    if rows.ndim != 1 or rows.shape != cols.shape:
-        raise ShapeError(f"cell index arrays must be 1-D of equal length, got "
-                         f"{rows.shape} and {cols.shape}")
+    if rows.shape != cols.shape:
+        raise ShapeError(f"cell index arrays must have equal length, got {rows.size} and "
+                         f"{cols.size}")
     if rows.size and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
         raise IndexError(f"cell index out of range for {m}x{n}")
     order = np.argsort(cols, kind="stable")  # no reordering for canonical cells
@@ -282,6 +314,31 @@ def _check_dims(W, H, M):
         raise ShapeError(
             f"incompatible shapes W{W.shape}, H{H.shape}, mask {M.rows}x{M.cols}"
         )
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels: the extension scipy/sparse/_sparsetools,
+    loaded from its file, so that neither scipy's nor scipy.sparse's __init__
+    runs. CPython registers it as scipy.sparse._sparsetools, where a later
+    import of scipy.sparse finds it. Raises ImportError without scipy or
+    without the file."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is already imported
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("a sparse mask needs scipy, which is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"a sparse mask needs scipy's _sparsetools extension, not found in {folder}")
 
 
 class Workspace:
@@ -299,26 +356,23 @@ class Workspace:
     array cannot be freed and its id reused.
 
     For a sparse mask, also what the kernels derive from the mask's cells:
-    the block ``plan`` of the product, the CSC residual ``R``, its CSR
-    transpose ``Rt`` over the same values, the product's buffer ``buf`` and
-    the squared weights ``w2`` (None when every weight is 1). Each gradient
-    or objective overwrites R and buf, so the blocks of a solve share one;
-    the mask, which callers share, keeps none. For a full mask these fields
-    are None."""
+    the block ``plan`` of the product, the CSC column pointers ``indptr``
+    (the row indices are the mask's ``row_idx``), the residual values
+    ``res`` in canonical order, the product's buffer ``buf`` and the squared
+    weights ``w2`` (None when every weight is 1). Each gradient or objective
+    overwrites res and buf, so the blocks of a solve share one; the mask,
+    which callers share, keeps none. For a full mask these fields are None."""
 
     def __init__(self, X, M, sum_sq=None):
         self.M, self.x, self.sum_sq = M, M.observed(np.asarray(X)), sum_sq
         self._gram_form = M.is_full and sum_sq is not None
         self._held = {}  # (kind, side) -> (F, product)
-        self.plan = self.R = self.Rt = self.buf = self.w2 = None
+        self.plan = self.indptr = self.res = self.buf = self.w2 = None
         if M.is_full:
             return
-        import scipy.sparse as sp  # loaded by the first sparse workspace only
-
         self.plan = _BlockPlan(M.rows, M.cols, M.row_idx, M.col_idx)
-        indptr = np.searchsorted(M.col_idx, np.arange(M.cols + 1))
-        self.R = sp.csc_matrix((np.empty(M.nnz), M.row_idx, indptr), shape=(M.rows, M.cols))
-        self.Rt = self.R.T  # CSR on the transposed pattern, sharing R.data
+        self.indptr = np.searchsorted(M.col_idx, np.arange(M.cols + 1))
+        self.res = np.empty(M.nnz)
         self.buf = np.empty(self.plan.buffer_size)
         self.w2 = None if np.all(M.weights == 1.0) else M.weights**2
 
@@ -367,21 +421,26 @@ def _misfit(work, W, H):
     if work.M.is_full:
         R = W @ H
         return np.subtract(R, x, out=R if R.dtype == np.result_type(x, R) else None)
-    R = _sampled_product(W, H, work.plan, work.R.data, work.buf)
+    R = _sampled_product(W, H, work.plan, work.res, work.buf)
     return np.subtract(R, x, out=R)
 
 
 def masked_residual(X, W, H, M):
-    """M o (X - WH) at observed cells: a dense ndarray for a full mask, else
-    the CSC residual R of a new :class:`Workspace`, on the cells in canonical
-    column-major order."""
+    """M o (X - WH) at observed cells: a dense ndarray for a full mask, else a
+    scipy.sparse CSC matrix over the residual values of a new
+    :class:`Workspace`, on the cells in canonical column-major order. It is
+    the one function here that imports scipy.sparse; no solve calls it."""
     _check_dims(W, H, M)
     work = Workspace(X, M)
     R = _misfit(work, W, H)
     R = np.subtract(0.0, R, out=R)  # X - WH; a zero stays +0, as x - WH gives it
     if work.w2 is not None:  # None for a full mask
         np.multiply(M.weights, R, out=R)
-    return R if M.is_full else work.R
+    if M.is_full:
+        return R
+    import scipy.sparse as sp  # the package's one import, for this return type
+
+    return sp.csc_matrix((R, M.row_idx, work.indptr), shape=(M.rows, M.cols))
 
 
 def objective(X, W, H, M, work=None):
@@ -433,23 +492,32 @@ def _gradient(work, F, side):
     if work.M.is_full:
         G, C = work.product("gram", side, F), work.product("cross", side, F)
         return (lambda W: W @ G - C) if side == "W" else (lambda H: G @ H - C)
-    R, Rt, w2 = work.R, work.Rt, work.w2
+    tools, m, n = _sparsetools(), work.M.rows, work.M.cols
+    indptr, rows, res, w2 = work.indptr, work.M.row_idx, work.res, work.w2
 
-    def residual(W, H):  # R.data = w2 * (WH - x) at the cells
+    def residual(W, H):  # res = w2 * (WH - x) at the cells
         vals = _misfit(work, W, H)
         if w2 is not None:
             np.multiply(vals, w2, out=vals)
 
+    # scipy's CSC @ dense and, with the CSC arrays read as the CSR transpose's,
+    # CSR @ dense, as scipy.sparse._compressed._matmul_multivector calls them
     if side == "W":
-        Ft = np.ascontiguousarray(F.T)
+        Ft, r = np.ascontiguousarray(F.T), F.shape[0]
 
         def grad(W):
             residual(W, F)
-            return R @ Ft
+            out = np.zeros((m, r))
+            tools.csc_matvecs(m, n, r, indptr, rows, res, Ft.ravel(), out.ravel())
+            return out
     else:
+        r = F.shape[1]
+
         def grad(H):
             residual(F, H)
-            return (Rt @ F).T
+            out = np.zeros((n, r))
+            tools.csr_matvecs(n, m, r, indptr, rows, res, F.ravel(), out.ravel())
+            return out.T
 
     return grad
 

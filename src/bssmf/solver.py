@@ -90,6 +90,11 @@ class SolverConfig:
 
     def validate(self, m, n):
         """Check the caps, rel_tol, seed and, unless m is None (a frozen W), the rank."""
+        counts = ("max_outer", "max_inner_W", "max_inner_H") + ("rank",) * (m is not None)
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if m is not None and not (1 <= self.rank <= min(m, n)):
             raise ConfigError(f"rank must be in [1, {min(m, n)}], got {self.rank}")
         if self.max_outer < 1 or self.max_inner_W < 1 or self.max_inner_H < 1:
@@ -349,8 +354,8 @@ def predict_cells(W, H, rows, cols, bounds=None):
     """Vectorized W(i,:) . H(:,j) over index arrays; bound-checked and clamped
     row-wise when bounds are given. A value beyond a finite bound by more
     than that bound's own :func:`_slack` raises ValueError."""
+    vals = mc.product_at(W, H, rows, cols)  # checks the cells: integers, in range
     rows = np.asarray(rows, dtype=np.intp)
-    vals = mc.product_at(W, H, rows, cols)  # raises IndexError on a cell out of range
     if bounds is not None:
         lo = bounds.lower[rows]
         hi = bounds.upper[rows]

@@ -1,6 +1,8 @@
 """Which scipy modules a process loads: none for full-data work or for
-building, reading, splitting and checking sparse masks, and scipy.sparse
-only once a sparse solve runs."""
+building, reading, splitting and checking sparse masks, and only the
+compiled extension scipy.sparse._sparsetools once a sparse solve runs, with
+neither the scipy.sparse package nor scipy._lib. A later import of
+scipy.sparse finds that extension and works."""
 
 import os
 import subprocess
@@ -56,8 +58,18 @@ SCRIPT = textwrap.dedent(
         no_scipy()
 
     solve(x, M, ModelVariant.bssmf(infer_bounds(x, M)), config)
-    assert loaded("scipy.sparse")
-    assert not loaded("scipy.optimize"), loaded("scipy.optimize")
+    assert loaded("scipy") == ["scipy.sparse._sparsetools"], loaded("scipy")
+    assert "scipy.sparse" not in sys.modules and not loaded("scipy._lib")
+
+    import bssmf.matrixcore as mc
+    import scipy.sparse as sp
+
+    assert mc._sparsetools() is sp._compressed._sparsetools
+    W, H = rng.uniform(size=(3, 2)), rng.uniform(size=(2, 4))
+    R = mc.masked_residual(x, W, H, M)
+    assert isinstance(R, sp.csc_matrix)
+    assert np.array_equal(mc.gradient_W(x, W, H, M), -(R @ H.T))
+    assert np.array_equal(mc.gradient_H(x, W, H, M), -(R.T @ W).T)
     """
 )
 

@@ -1,6 +1,9 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bssmf.matrixcore as mc
@@ -205,6 +208,46 @@ class TestMask:
     def test_full_sentinel(self):
         M = ObservationMask.full(3, 4)
         assert M.is_full and M.nnz == 12
+
+    @pytest.mark.parametrize("rows, cols", [(3.5, 4), (3, 4.0), (True, 4), (3, np.float64(4))])
+    def test_shape_must_be_integers(self, rows, cols):
+        """A float shape was stored truncated but checked against as given:
+        (3.5, 4) took row index 3, and a sparse solve on it crashed the process."""
+        with pytest.raises(ShapeError, match="mask shape must be integers"):
+            ObservationMask(rows, cols, [3], [0], [1.0], values=[2.0])
+        with pytest.raises(ShapeError, match="mask shape must be integers"):
+            ObservationMask.full(rows, cols)
+
+    def test_numpy_integer_shape_is_stored_as_int(self):
+        M = ObservationMask(np.int64(3), np.int32(4), [2], [3], [1.0])
+        assert (type(M.rows), type(M.cols), M.rows, M.cols) == (int, int, 3, 4)
+
+    @pytest.mark.parametrize("rows, cols", [([0.9], [1]), ([0], [1.2]), ([True], [1]),
+                                            ([0], np.array([False]))])
+    def test_indices_must_be_integers(self, rows, cols):
+        """[0.9], [1.2] named cell (0, 1); a bool index named row or column 0 or 1."""
+        with pytest.raises(ShapeError, match="indices must be integers"):
+            ObservationMask(3, 4, rows, cols, [1.0])
+
+    def test_indices_must_be_one_dimensional(self):
+        """2 x 2 index arrays were sorted row by row into a 2 x 2 x 2 mask."""
+        with pytest.raises(ShapeError, match="1-D"):
+            ObservationMask(3, 4, [[0, 1], [2, 0]], [[1, 2], [3, 0]], np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="1-D"):
+            product_at(np.ones((3, 1)), np.ones((1, 4)), [[0]], [[1]])
+
+    def test_empty_index_lists_stay_valid(self):
+        M = ObservationMask(3, 4, [], [], [])
+        assert M.nnz == 0 and M.row_idx.dtype == M.col_idx.dtype == np.intp
+
+    @pytest.mark.parametrize("rows, cols", [([0, 2], [1, 3]), ([2, 0], [3, 1])])
+    def test_cells_are_read_only(self, rows, cols):
+        """Canonical and shuffled cells alike: the kernels index through them unchecked."""
+        M = ObservationMask(3, 4, rows, cols, [1.0, 0.5], [0.25, 0.75])
+        for idx in (M.row_idx, M.col_idx):
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 99
+        M.values[0] = 1.5  # the data stays the caller's to write
 
 
 @st.composite
@@ -750,13 +793,77 @@ class TestSparseWorkspace:
         for a, b in zip(skipped, multiplied):
             assert np.array_equal(a, b)
 
+    def test_full_mask_needs_no_buffers(self):
+        work = Workspace(np.zeros((3, 4)), ObservationMask.full(3, 4))
+        assert work.indptr is None and work.res is None and work.buf is None
+        assert work.plan is None and work.w2 is None
+
     def test_sparse_mask_keeps_only_its_data(self):
         """What a solve derives from the cells is in its workspace, not the mask."""
         M = ObservationMask(3, 4, [0, 2], [1, 3], [1.0, 0.5], [0.25, 0.75])
         assert set(vars(M)) == {"rows", "cols", "_full", "row_idx", "col_idx", "weights",
                                 "values"}
 
-    def test_full_mask_needs_no_buffers(self):
-        work = Workspace(np.zeros((3, 4)), ObservationMask.full(3, 4))
-        assert work.R is None and work.Rt is None and work.buf is None
-        assert work.plan is None and work.w2 is None
+
+@st.composite
+def kernel_problems(draw):
+    """Shape, rank, which cells are observed (empty rows, columns and masks
+    included), unit or random weights, the factors' layout and a seed."""
+    m, n, r = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    unit = draw(st.booleans())
+    layout = draw(st.sampled_from(["C", "F", "float32"]))
+    return m, n, r, np.array(cells).reshape(m, n), unit, layout, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSparseKernels:
+    """The two products with the residual call scipy's compiled kernels
+    directly; they are bit for bit what scipy.sparse's @ gives."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(kernel_problems())
+    @example((4, 3, 2, np.zeros((4, 3), bool), True, "C", 0))  # nnz == 0
+    @example((5, 4, 1, np.eye(5, 4, dtype=bool), False, "float32", 1))  # r == 1
+    @example((3, 5, 3, np.array([[1, 0, 1, 0, 1], [0] * 5, [1, 0, 0, 0, 1]], bool),
+              False, "F", 2))  # an empty row and empty columns
+    def test_products_bit_equal_to_scipy(self, problem):
+        import scipy.sparse as sp  # the reference only: a solve imports no scipy package
+
+        m, n, r, observed, unit, layout, seed = problem
+        rng = np.random.default_rng(seed)
+        rows, cols = np.nonzero(observed)
+        M = ObservationMask(m, n, rows, cols,
+                            np.ones(rows.size) if unit else rng.uniform(0.05, 1.0, rows.size))
+        X = rng.uniform(size=(m, n))
+        W, H = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        if layout == "F":
+            W, H = np.asfortranarray(W), np.asfortranarray(H)
+        elif layout == "float32":
+            W, H = W.astype(np.float32), H.astype(np.float32)
+        work = Workspace(X, M)
+        for side, F, F_bar in (("W", H, W), ("H", W, H)):
+            got = mc._gradient(work, F, side)(F_bar)
+            # the residual w2 * (WH - x) the call left in work, as a CSC matrix
+            R = sp.csc_matrix((work.res.copy(), M.row_idx, work.indptr), shape=(m, n))
+            want = R @ np.ascontiguousarray(F.T) if side == "W" else (R.T @ F).T
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_loader_reuses_the_loaded_extension(self):
+        import scipy.sparse  # noqa: F401  (registers scipy.sparse._sparsetools)
+
+        assert mc._sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+
+    def test_missing_extension_names_its_folder(self, tmp_path, monkeypatch):
+        """No fallback to importing scipy.sparse: a scipy without the file is an ImportError."""
+        (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        spec = importlib.util.spec_from_file_location(
+            "scipy", tmp_path / "scipy" / "__init__.py",
+            submodule_search_locations=[str(tmp_path / "scipy")])
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: spec if name == "scipy" else None)
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+        with pytest.raises(ImportError, match=str(tmp_path / "scipy" / "sparse")):
+            mc._sparsetools.__wrapped__()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -250,6 +251,30 @@ class TestSolve:
             solve(np.ones((3, 3)), ObservationMask.full(3, 3), var, config)
         with pytest.raises(ConfigError, match=message):
             solve_h(np.ones((3, 3)), ObservationMask.full(3, 3), np.ones((3, 2)), var, config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank", 2.5), ("rank", True), ("rank", np.float64(2.0)), ("max_outer", 2.5),
+        ("max_outer", False), ("max_inner_W", 1.5), ("max_inner_H", 1.5), ("max_inner_H", "3"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        """A float count raised a bare TypeError from deep in the solve, and
+        rank=True one from numpy's random generator."""
+        config = replace(SolverConfig(rank=2), **{field: value})
+        var = ModelVariant.mf(3)
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            solve(np.ones((3, 3)), ObservationMask.full(3, 3), var, config)
+        if field != "rank":  # solve_h takes the rank of its frozen W
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                solve_h(np.ones((3, 3)), ObservationMask.full(3, 3), np.ones((3, 2)), var,
+                        config)
+
+    def test_numpy_integer_counts_stay_valid(self):
+        config = SolverConfig(rank=np.int64(2), max_outer=np.int32(3), max_inner_W=np.int16(2),
+                              max_inner_H=np.uint8(2))
+        _, report = solve(np.ones((3, 3)), ObservationMask.full(3, 3), ModelVariant.mf(3),
+                          config)
+        assert report.outer_iterations == 3
 
     def test_empty_mask_returns_init(self):
         X = np.ones((4, 4))
@@ -995,6 +1020,16 @@ class TestPredict:
         H = np.ones((1, 2))
         with pytest.raises(IndexError):
             predict_cells(W, H, [2], [0])
+
+    @pytest.mark.parametrize("rows, cols", [([1.7], [0]), ([0], [0.5]), ([True], [2]),
+                                            ([0], [False])])
+    def test_indices_must_be_integers(self, rows, cols):
+        """[1.7], [0] predicted cell (1, 0), and [True], [2] cell (1, 2)."""
+        W, H = np.arange(3.0)[:, None], np.arange(3.0)[None, :]
+        with pytest.raises(mc.ShapeError, match="indices must be integers"):
+            predict_cells(W, H, rows, cols)
+        with pytest.raises(mc.ShapeError, match="indices must be integers"):
+            mc.product_at(W, H, rows, cols)
 
     def test_exact_factorization_recovers_data(self, example6x6=None):
         rng = np.random.default_rng(14)
